@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.data.partition import GlobalIndex, ObjectRef
 from repro.distance.dissimilarity import DissimilarityMatrix
@@ -100,6 +99,10 @@ def private_record_linkage(
     else:
         # Over-threshold pairs get a prohibitive cost; assignments landing
         # on them are dropped afterwards.
+        # Imported here: scipy.optimize adds about half a second to a
+        # cold start, and only optimal matching needs it.
+        from scipy.optimize import linear_sum_assignment
+
         penalty = max(1.0, float(block.max())) * 10.0 + threshold
         costs = np.where(block <= threshold, block, penalty)
         row_idx, col_idx = linear_sum_assignment(costs)

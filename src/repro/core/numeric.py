@@ -46,7 +46,9 @@ and the TP unmask one ``np.abs`` over the block.  Arithmetic runs in
 ``int64`` when masks and data provably fit; otherwise (notably the
 default 64-bit masks and any ``mask_bits > 64`` configuration) it falls
 back to object-dtype arrays of Python ints, which keep exact arbitrary
-precision.  Both paths emit bitwise the same values as the scalar
+precision.  The TP's recovered distances leave the object path as
+``int64`` again whenever they fit below 2^62, so descaling stays one
+array division.  Both paths emit bitwise the same values as the scalar
 reference in :mod:`repro.core.reference` -- not a single protocol
 message changes; property tests pin that equivalence.
 """
@@ -98,12 +100,40 @@ def _object_vector(values) -> np.ndarray:
     return out
 
 
-def _object_matrix(rows: Sequence[Sequence[int]], cols: int) -> np.ndarray:
-    """2-D object array from a rectangular list of lists."""
+def _object_matrix(
+    rows: Sequence[Sequence[int]], cols: int
+) -> tuple[np.ndarray, bool]:
+    """2-D object array from a rectangular list of lists, and whether
+    every entry came out a Python ``int``.
+
+    Rows off the wire hold plain ``int`` only; a C-level type scan lets
+    those be stored as they are, so only rows carrying other types pay
+    the per-element :func:`_exact` pass.
+    """
     out = np.empty((len(rows), cols), dtype=object)
+    integral = True
     for i, row in enumerate(rows):
-        out[i, :] = [_exact(v) for v in row]
-    return out
+        if set(map(type, row)) <= {int}:
+            out[i, :] = row
+        else:
+            exact = [_exact(v) for v in row]
+            integral = integral and set(map(type, exact)) <= {int}
+            out[i, :] = exact
+    return out, integral
+
+
+def _demoted(distances: np.ndarray, integral: bool) -> np.ndarray:
+    """Exact object-dtype distances as int64 whenever they all fit.
+
+    The object path exists for the *masked* operands (64-bit masks and
+    wider); the recovered ``|x - y|`` are data-sized, so they usually fit
+    below 2^62 and descale through the vectorized branch of
+    :meth:`~repro.distance.numeric.FixedPointCodec.decode_distance_array`.
+    Values that do not fit, or are not integers, stay as they are.
+    """
+    if not integral or (distances.size and distances.max() >= _INT64_HEADROOM):
+        return distances
+    return distances.astype(np.int64)
 
 
 def _rectangular_shape(matrix: Sequence[Sequence[int]], what: str) -> tuple[int, int]:
@@ -246,10 +276,10 @@ def third_party_unmask_batch(
         distances = np.abs(m64 - rest_masks.astype(np.int64)[None, :])
         distances[0] = np.abs(m64[0] - first_masks.astype(np.int64))
         return distances
-    matrix = _object_matrix(comparison_matrix, cols)
+    matrix, integral = _object_matrix(comparison_matrix, cols)
     distances = np.abs(matrix - _masks_as_array(rest_masks, use_int64=False)[None, :])
     distances[0] = np.abs(matrix[0] - _masks_as_array(first_masks, use_int64=False))
-    return distances
+    return _demoted(distances, integral)
 
 
 # -- per-pair mode (the Section 4.1 frequency-attack mitigation) ---------------
@@ -318,7 +348,7 @@ def responder_matrix_per_pair(
         matrix = m64 + signs * o64[:, None]
     else:
         signs = _signs_from_bits(sign_bits, negate_on_one=False).astype(object)
-        matrix = _object_matrix(masked_matrix, cols) + signs * _object_vector(
+        matrix = _object_matrix(masked_matrix, cols)[0] + signs * _object_vector(
             own_values
         )[:, None]
     return matrix.tolist()
@@ -341,5 +371,8 @@ def third_party_unmask_per_pair(
         m64 = _as_checked_int64(comparison_matrix)
     if m64 is not None:
         return np.abs(m64 - masks.astype(np.int64).reshape(rows, cols))
-    matrix = _object_matrix(comparison_matrix, cols)
-    return np.abs(matrix - _masks_as_array(masks, use_int64=False).reshape(rows, cols))
+    matrix, integral = _object_matrix(comparison_matrix, cols)
+    return _demoted(
+        np.abs(matrix - _masks_as_array(masks, use_int64=False).reshape(rows, cols)),
+        integral,
+    )

@@ -28,6 +28,9 @@ def categorical_distance(a: Hashable, b: Hashable) -> int:
 def ciphertext_distance(ciphertext_a: bytes, ciphertext_b: bytes) -> int:
     """The third party's version: equality of deterministic ciphertexts.
 
+    Kept as the per-pair specification; the TP itself compares int codes
+    of the ciphertexts (:func:`repro.core.categorical.equality_codes`).
+
     Correct because the encryption is deterministic and injective per
     attribute (collisions are birthday-bounded far below any categorical
     domain size; see :class:`repro.crypto.detenc.DeterministicEncryptor`).

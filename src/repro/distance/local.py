@@ -2,9 +2,10 @@
 
 Every data holder runs this on each attribute column of its own
 partition: no privacy machinery is needed for pairs of objects held by
-the same party (Section 4, first paragraph).  The same routine also
-serves the third party in the categorical protocol, where it runs over
-the merged *ciphertext* column.
+the same party (Section 4, first paragraph).  Run over the merged
+*ciphertext* column with :func:`~repro.distance.categorical.ciphertext_distance`
+it is also the specification of the third party's categorical matrix,
+which :mod:`repro.core.categorical` builds over ciphertext codes instead.
 """
 
 from __future__ import annotations

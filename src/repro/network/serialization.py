@@ -17,12 +17,15 @@ Fast paths
 ----------
 The protocols' O(n^2) payloads are flat lists of Python ints (masked
 vectors, comparison-matrix rows), so integer *runs* get batched
-implementations: :func:`_encode_int_run` assembles every record of a run
-through fixed-width numpy views grouped by magnitude width, and
+implementations: :func:`_encode_int_run` converts a run with one
+``np.array`` call and cuts every record out of a fixed-width row, and
 :func:`_decode_int_run` walks record boundaries once and batch-converts
-the bodies the same way.  Both emit/consume the exact bytes of the
-per-element :func:`_encode_int` path (the equivalence suite pins this),
-and :func:`serialized_size` prices any payload without materializing a
+the bodies through fixed-width views.  The alphanumeric payloads ship
+thousands of small arrays, so array records get a memoized header
+encoder (:func:`_array_header`) and a single-pass header decoder
+(:func:`_decode_array`).  All of them emit/consume the exact bytes of
+the generic per-element path (the equivalence suite pins this), and
+:func:`serialized_size` prices any payload without materializing a
 buffer.  ``_FAST_PATHS`` exists so
 :func:`repro.crypto.reference.scalar_transport` can replay the seed
 transport for transcript-equality tests and benchmarks.
@@ -30,6 +33,8 @@ transport for transcript-equality tests and benchmarks.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from typing import Any
 
@@ -55,9 +60,23 @@ _ALLOWED_DTYPES = {"uint8", "int8", "int32", "int64", "uint32", "uint64", "float
 #: the seed's per-element encode/decode for equivalence testing.
 _FAST_PATHS = True
 
+#: numpy's dimension limit; a deeper declared shape is a malformed record.
+_MAX_ARRAY_DIMS = 64
+
 #: Largest magnitude that the batched run codec handles in a ``uint64``
-#: lane; rarer, wider values inside a run are spliced in per element.
+#: lane, and the (exclusive) ``int64`` bound for runs with negatives.
 _U64_MAX = (1 << 64) - 1
+_I64_LIMIT = 1 << 63
+
+#: ``searchsorted`` edges of the magnitude body widths: a magnitude
+#: needs ``1 + #{edges <= magnitude}`` bytes (minimum 1).
+_BODY_WIDTH_LIMITS = np.array([1 << bits for bits in range(8, 64, 8)], dtype=np.uint64)
+
+#: Row ``w``: which of a fixed 14-byte record row survive for a
+#: ``w``-byte body -- the 6 header bytes and the last ``w`` body bytes.
+_RECORD_BYTES_KEPT = np.array(
+    [[col < 6 or col >= 14 - width for col in range(14)] for width in range(9)]
+)
 
 
 def _pack_length(value: int) -> bytes:
@@ -81,55 +100,36 @@ def _encode_int_run(values: list[Any], out: list[bytes]) -> bool:
     """Append the concatenated :func:`_encode_int` bytes of an int run.
 
     Returns ``False`` (appending nothing) unless every element is a
-    plain ``int`` -- the same predicate the per-element fast path used.
-    Records are assembled in one preallocated ``uint8`` buffer: tag,
-    sign and length lanes by fancy-indexed stores, magnitude bodies by
-    width-grouped big-endian views; magnitudes beyond 64 bits (rare --
-    only a masked value that overflowed its mask width) are encoded per
-    element and spliced into their slots.
+    plain ``int`` -- the same predicate the per-element path uses,
+    checked by one C-level type scan.  A run that fits a ``uint64`` (the
+    hot case: 64-bit-masked values) or an ``int64`` converts in a single
+    ``np.array`` call; every record is laid out as a fixed 14-byte row
+    (tag, sign, 4-byte length, 8-byte big-endian magnitude) and one
+    boolean mask drops each row's leading zero bytes, leaving exactly
+    the variable-width records in order.  Runs mixing negatives with
+    magnitudes past 63 bits (only a masked value that overflowed its
+    width) are encoded per element.
     """
-    n = len(values)
-    mags = np.empty(n, dtype=np.uint64)
-    signs = np.zeros(n, dtype=np.uint8)
-    wide: list[int] = []
-    for i, value in enumerate(values):
-        if type(value) is not int:
-            return False
-        if value < 0:
-            signs[i] = 1
-            value = -value
-        if value > _U64_MAX:
-            wide.append(i)
-            mags[i] = 0
-        else:
-            mags[i] = value
-    nbytes = np.ones(n, dtype=np.int64)
-    for threshold in range(8, 64, 8):
-        nbytes += mags >= np.uint64(1 << threshold)
-    for i in wide:
-        nbytes[i] = _int_body_len(abs(values[i]))
-    record_len = nbytes + 6
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(record_len[:-1], out=offsets[1:])
-    buf = np.zeros(int(offsets[-1] + record_len[-1]), dtype=np.uint8)
-    buf[offsets] = 0x49  # _TAG_INT
-    buf[offsets + 1] = signs
-    # Length field bytes 2..4 stay zero for the uint64 lanes (body <= 8
-    # bytes); wide records are patched wholesale below.
-    buf[offsets + 5] = nbytes.astype(np.uint8)
-    big_endian = mags.astype(">u8").view(np.uint8).reshape(n, 8)
-    narrow = np.ones(n, dtype=bool)
-    narrow[wide] = False
-    for width in np.unique(nbytes[narrow]) if n > len(wide) else ():
-        width = int(width)
-        idx = np.flatnonzero(narrow & (nbytes == width))
-        positions = offsets[idx, None] + 6 + np.arange(width)
-        buf[positions] = big_endian[idx, 8 - width :]
-    for i in wide:
-        record = _encode_int(values[i])
-        start = int(offsets[i])
-        buf[start : start + len(record)] = np.frombuffer(record, dtype=np.uint8)
-    out.append(buf.tobytes())
+    if set(map(type, values)) != {int}:
+        return False
+    low, high = min(values), max(values)
+    if low >= 0 and high <= _U64_MAX:
+        mags = np.array(values, dtype=np.uint64)
+        signs = np.zeros(len(values), dtype=bool)
+    elif -_I64_LIMIT < low and high < _I64_LIMIT:
+        signed = np.array(values, dtype=np.int64)
+        signs = signed < 0
+        mags = np.abs(signed).astype(np.uint64)
+    else:
+        out.append(b"".join(map(_encode_int, values)))
+        return True
+    nbytes = np.searchsorted(_BODY_WIDTH_LIMITS, mags, side="right") + 1
+    records = np.zeros((len(values), 14), dtype=np.uint8)
+    records[:, 0] = 0x49  # _TAG_INT
+    records[:, 1] = signs
+    records[:, 5] = nbytes
+    records[:, 6:] = mags.astype(">u8").view(np.uint8).reshape(-1, 8)
+    out.append(records[_RECORD_BYTES_KEPT[nbytes]].tobytes())
     return True
 
 
@@ -182,13 +182,9 @@ def _encode(obj: Any, out: list[bytes]) -> None:
             _encode(key, out)
             _encode(obj[key], out)
     elif isinstance(obj, np.ndarray):
-        dtype_name = obj.dtype.name
-        if dtype_name not in _ALLOWED_DTYPES:
-            raise ChannelError(f"unsupported array dtype {dtype_name!r}")
         contiguous = np.ascontiguousarray(obj)
-        out.append(_TAG_ARRAY)
-        _encode(dtype_name, out)
-        _encode(tuple(int(d) for d in contiguous.shape), out)
+        header = _array_header if _FAST_PATHS else _array_header.__wrapped__
+        out.append(header(obj.dtype, contiguous.shape))
         raw = contiguous.tobytes()
         out.append(_pack_length(len(raw)))
         out.append(raw)
@@ -198,6 +194,20 @@ def _encode(obj: Any, out: list[bytes]) -> None:
         _encode(float(obj), out)
     else:
         raise ChannelError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+@functools.lru_cache(maxsize=4096)
+def _array_header(dtype: np.dtype, shape: tuple[int, ...]) -> bytes:
+    """Tag, dtype name and shape of an array record, by the generic
+    recursion.  Memoized per (dtype, shape) for payloads that ship
+    thousands of small same-shaped arrays (numpy's ``dtype.name`` alone
+    costs microseconds per call); the seed codec calls it unwrapped."""
+    if dtype.name not in _ALLOWED_DTYPES:
+        raise ChannelError(f"unsupported array dtype {dtype.name!r}")
+    out = [_TAG_ARRAY]
+    _encode(dtype.name, out)
+    _encode(shape, out)
+    return b"".join(out)
 
 
 class _Reader:
@@ -237,6 +247,11 @@ _VECTOR_RUN_MIN = 32
 _VECTOR_CHUNK_MAX = 256
 
 
+#: Header bytes a speculated chunk validates: tag and the 4-byte length
+#: (byte 1, the sign, is free).
+_HEADER_COLS = np.array([0, 2, 3, 4, 5])
+
+
 def _decode_int_run(reader: _Reader, count: int) -> list[Any]:
     """Decode up to ``count`` consecutive ``I`` records from the reader.
 
@@ -263,7 +278,6 @@ def _decode_int_run(reader: _Reader, count: int) -> list[Any]:
     # payloads drive it down and hand the remainder to the tight scalar
     # walk, so they never pay numpy overhead per record.
     chunk_yield = float(_VECTOR_CHUNK_MAX)
-    header_cols = np.array([0, 2, 3, 4, 5])
     while len(items) < count and pos + 6 <= end and data[pos] == 0x49:  # b"I"
         if data[pos + 2] == 0 and data[pos + 3] == 0 and data[pos + 4] == 0:
             width = data[pos + 5]
@@ -278,14 +292,21 @@ def _decode_int_run(reader: _Reader, count: int) -> list[Any]:
             )
         stride = 6 + width
         possible = min(count - len(items), (end - pos) // stride, _VECTOR_CHUNK_MAX)
-        if width <= 8 and possible >= _VECTOR_RUN_MIN:
+        # A lone record of another width (a 64-bit-masked value whose
+        # magnitude happens to be narrower) is walked as a scalar rather
+        # than opening a chunk that would stop after it.
+        if (
+            width <= 8
+            and possible >= _VECTOR_RUN_MIN
+            and data[pos + stride + 5] == width
+        ):
             if u8 is None:
                 u8 = np.frombuffer(data, dtype=np.uint8)
             block = u8[pos : pos + stride * possible].reshape(possible, stride)
             # One gathered comparison validates tag and length of every
             # speculated header (bytes 0 and 2..5; byte 1 is the sign).
             headers_ok = (
-                block[:, header_cols]
+                block[:, _HEADER_COLS]
                 == np.array([0x49, 0, 0, 0, width], dtype=np.uint8)
             ).all(axis=1)
             if headers_ok.all():
@@ -297,8 +318,9 @@ def _decode_int_run(reader: _Reader, count: int) -> list[Any]:
             lanes = np.zeros((good, 8), dtype=np.uint8)
             lanes[:, 8 - width :] = block[:good, 6:]
             chunk = lanes.view(">u8")[:, 0].tolist()
-            for i in np.flatnonzero(block[:good, 1] == 1).tolist():
-                chunk[i] = -chunk[i]
+            if block[:good, 1].any():
+                for i in np.flatnonzero(block[:good, 1] == 1).tolist():
+                    chunk[i] = -chunk[i]
             items.extend(chunk)
             pos += stride * good
             chunk_yield = 0.75 * chunk_yield + 0.25 * good
@@ -336,8 +358,93 @@ def _decode_int_run_scalar(reader: _Reader, count: int) -> list[Any]:
     return items
 
 
+#: Wire spelling of every allowed dtype name, for the header decoder.
+_DTYPE_BY_WIRE_NAME = {name.encode("ascii"): np.dtype(name) for name in _ALLOWED_DTYPES}
+
+
+def _array_from(dtype_name: Any, shape: Any, raw: bytes) -> np.ndarray:
+    """Validate a generically decoded array record and build its array.
+
+    Only the dtypes :func:`serialize` emits are accepted, and the shape
+    must be a tuple of non-negative ints whose element count matches the
+    raw buffer; anything else is a malformed frame, not a numpy error.
+    """
+    if not isinstance(dtype_name, str) or dtype_name not in _ALLOWED_DTYPES:
+        raise ChannelError(f"unsupported array dtype {dtype_name!r}")
+    if (
+        not isinstance(shape, tuple)
+        or len(shape) > _MAX_ARRAY_DIMS
+        or not all(type(d) is int and d >= 0 for d in shape)
+    ):
+        raise ChannelError(f"malformed array shape {shape!r}")
+    dtype = np.dtype(dtype_name)
+    _check_array_size(shape, dtype, len(raw))
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def _check_array_size(shape: tuple[int, ...], dtype: np.dtype, raw_len: int) -> None:
+    expected = math.prod(shape) * dtype.itemsize
+    if expected != raw_len:
+        raise ChannelError(
+            f"array record of shape {shape} and dtype {dtype.name} needs "
+            f"{expected} raw byte(s), got {raw_len}"
+        )
+
+
+def _decode_array(reader: _Reader) -> np.ndarray:
+    """One array record after its tag, parsed in a single pass.
+
+    Walks the dtype-name string, the shape tuple and the raw-length
+    field straight off the buffer instead of recursing through
+    :func:`_decode` per header field; consumes exactly the bytes the
+    generic recursion would, and rejects every record it cannot build
+    -- unknown dtype, negative or non-int dimension, shape/size mismatch,
+    truncation -- with :class:`ChannelError`.
+    """
+    data = reader._data
+    start = pos = reader._pos
+    try:
+        if data[pos] != 0x53:  # b"S"
+            raise ChannelError("array record: dtype name must be a string")
+        name_end = pos + 5 + int.from_bytes(data[pos + 1 : pos + 5], "big")
+        if name_end > len(data):
+            raise IndexError(name_end)
+        dtype = _DTYPE_BY_WIRE_NAME.get(bytes(data[pos + 5 : name_end]))
+        if dtype is None:
+            raise ChannelError("array record declares an unsupported array dtype")
+        if data[name_end] != 0x54:  # b"T"
+            raise ChannelError("array record: shape must be a tuple")
+        ndim = int.from_bytes(data[name_end + 1 : name_end + 5], "big")
+        if ndim > _MAX_ARRAY_DIMS:
+            raise ChannelError(f"array record declares {ndim} dimensions")
+        pos = name_end + 5
+        shape = []
+        for _ in range(ndim):
+            if data[pos] != 0x49 or data[pos + 1] != 0:  # b"I", non-negative
+                raise ChannelError("array record: dimensions must be non-negative ints")
+            body = pos + 6 + int.from_bytes(data[pos + 2 : pos + 6], "big")
+            shape.append(int.from_bytes(data[pos + 6 : body], "big"))
+            pos = body
+        raw_start = pos + 4
+        raw_end = raw_start + int.from_bytes(data[pos:raw_start], "big")
+    except IndexError:  # a header field ran off the buffer
+        raw_end = len(data) + 1
+    if raw_end > len(data):
+        raise ChannelError(
+            f"truncated message: array record at offset {start} runs past "
+            f"the {len(data)}-byte buffer"
+        )
+    dims = tuple(shape)
+    _check_array_size(dims, dtype, raw_end - raw_start)
+    reader._pos = raw_end
+    count = (raw_end - raw_start) // dtype.itemsize
+    return np.frombuffer(data, dtype=dtype, count=count, offset=raw_start).reshape(dims).copy()
+
+
 def _decode(reader: _Reader) -> Any:
     tag = reader.take(1)
+    if tag == _TAG_ARRAY and _FAST_PATHS:
+        return _decode_array(reader)
     if tag == _TAG_NONE:
         return None
     if tag == _TAG_BOOL:
@@ -377,8 +484,7 @@ def _decode(reader: _Reader) -> Any:
     if tag == _TAG_ARRAY:
         dtype_name = _decode(reader)
         shape = _decode(reader)
-        raw = reader.take(reader.length())
-        return np.frombuffer(raw, dtype=np.dtype(dtype_name)).reshape(shape).copy()
+        return _array_from(dtype_name, shape, reader.take(reader.length()))
     raise ChannelError(f"unknown serialization tag {tag!r}")
 
 

@@ -388,7 +388,9 @@ class ThirdParty(Party):
         """Patch the global categorical matrix for this epoch's arrivals.
 
         Flat categoricals get their new-pair 0/1 entries written in two
-        fancy-indexed blocks (arrivals x survivors, arrivals x arrivals);
+        blocks over the merged column's equality codes (arrivals x
+        survivors by one broadcast compare, arrivals x arrivals by the
+        same Figure-12 primitive the full build uses);
         taxonomy-typed columns rebuild from the merged ciphertext paths
         (the path metric is the same pure function either way, so both
         routes are entry-identical to a from-scratch construction).
@@ -414,8 +416,9 @@ class ThirdParty(Party):
             with self._storage_lock:
                 self._raw[attribute] = rebuilt
             return
-        merged = np.empty(self.index.total_objects, dtype=object)
-        merged[:] = [c for site in self.index.sites for c in columns[site]]
+        codes = cat_protocol.equality_codes(
+            [c for site in self.index.sites for c in columns[site]]
+        )
         fresh = np.asarray(plan.arrival_positions(self.index), dtype=np.int64)
         survivors = np.setdiff1d(
             np.arange(self.index.total_objects, dtype=np.int64), fresh
@@ -424,15 +427,12 @@ class ThirdParty(Party):
         matrix.set_block(
             fresh.tolist(),
             survivors.tolist(),
-            (merged[fresh][:, None] != merged[survivors][None, :]).astype(np.float64),
+            (codes[fresh][:, None] != codes[survivors][None, :]).astype(np.float64),
         )
         if fresh.size >= 2:
-            a, b = np.tril_indices(fresh.size, -1)
-            among = DissimilarityMatrix(
-                fresh.size,
-                (merged[fresh][a] != merged[fresh][b]).astype(np.float64),
+            matrix.set_submatrix(
+                fresh.tolist(), cat_protocol.code_dissimilarity(codes[fresh])
             )
-            matrix.set_submatrix(fresh.tolist(), among)
 
     def retire_objects(self, sites: list[str], new_index: GlobalIndex) -> None:
         """Apply announced retirements: shrink every matrix and column.

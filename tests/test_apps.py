@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps.linkage import private_record_linkage
@@ -142,3 +147,25 @@ class TestOutliers:
     def test_top_n_zero(self):
         matrix, index = self._planted()
         assert knn_outliers(matrix, index, k=2, top_n=0).flagged == ()
+
+
+def test_cluster_app_import_leaves_scipy_optimize_unloaded():
+    """Party processes import ``repro.apps.cluster``; only optimal record
+    linkage needs ``scipy.optimize``, so a fresh interpreter must not
+    load it on that import."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.apps.cluster; print('scipy.optimize' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

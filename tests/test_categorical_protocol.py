@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.categorical import (
+    code_dissimilarity,
+    equality_codes,
     holder_encrypt_column,
     third_party_categorical_matrix,
 )
 from repro.crypto.detenc import DeterministicEncryptor
 from repro.data.partition import GlobalIndex
-from repro.distance.categorical import categorical_distance
+from repro.distance.categorical import categorical_distance, ciphertext_distance
 from repro.distance.local import local_dissimilarity
-from repro.exceptions import ProtocolError
+from repro.exceptions import ConfigurationError, ProtocolError
 
 KEY = b"shared-holder-key-0123456789abcd"
 
@@ -90,3 +94,56 @@ class TestProtocol:
             for ciphertext in column:
                 assert b"topsecret" not in ciphertext
                 assert isinstance(ciphertext, bytes)
+
+
+def _spec_matrix(merged):
+    """Figure 12 with the per-pair ciphertext callback: the specification
+    the code-based build must reproduce entry for entry."""
+    return local_dissimilarity(merged, ciphertext_distance)
+
+
+def _assert_matches_spec(merged):
+    built = code_dissimilarity(equality_codes(merged))
+    spec = _spec_matrix(merged)
+    assert built.num_objects == spec.num_objects
+    assert np.array_equal(built.condensed, spec.condensed)
+
+
+class TestCodeDissimilarity:
+    @pytest.mark.parametrize(
+        "merged",
+        [
+            [b"only"],
+            [b"a", b"a"],
+            [b"a", b"b"],
+            [b"same"] * 9,
+            [bytes([i]) for i in range(12)],
+            [b"x", b"y", b"x", b"z", b"y", b"x"],
+        ],
+        ids=["n1", "n2-equal", "n2-distinct", "all-equal", "all-distinct", "mixed"],
+    )
+    def test_matches_callback_spec(self, merged):
+        _assert_matches_spec(merged)
+
+    def test_empty_column_rejected_like_spec(self):
+        assert equality_codes([]).shape == (0,)
+        with pytest.raises(ConfigurationError):
+            _spec_matrix([])
+        with pytest.raises(ConfigurationError):
+            code_dissimilarity(equality_codes([]))
+
+    def test_codes_follow_first_appearance(self):
+        assert equality_codes([b"q", b"r", b"q", b"s"]).tolist() == [0, 1, 0, 2]
+
+    @given(st.lists(st.sampled_from([b"", b"a", b"b", b"ab", b"\x00"]), min_size=1, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_property_matches_callback_spec(self, merged):
+        _assert_matches_spec(merged)
+
+    def test_tp_matrix_matches_spec_over_sites(self):
+        columns = {"A": ["red", "blue", "red"], "B": ["blue", "green"], "C": ["red"]}
+        index = GlobalIndex({"A": 3, "B": 2, "C": 1})
+        encrypted = _encrypt_sites(columns)
+        merged = [c for site in index.sites for c in encrypted[site]]
+        built = third_party_categorical_matrix(encrypted, index)
+        assert np.array_equal(built.condensed, _spec_matrix(merged).condensed)

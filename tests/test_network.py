@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.prng import make_prng
 from repro.exceptions import ChannelError, ProtocolError
+from repro.network import serialization
 from repro.network.channel import Channel, Eavesdropper
 from repro.network.serialization import deserialize, serialize, serialized_size
 from repro.network.simulator import Network
@@ -76,6 +77,44 @@ class TestSerialization:
         data = serialize([1, 2, 3])
         with pytest.raises(ChannelError):
             deserialize(data[:-2])
+
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize(
+        "dtype_field, shape_field, raw",
+        [
+            ("float16", (2,), b"\x00" * 4),  # dtype serialize refuses
+            ("object", (1,), b"\x00" * 8),  # dtype serialize refuses
+            (7, (1,), b"\x00"),  # dtype name not a string
+            ("int64", (3,), b"\x00" * 8),  # shape/raw-length mismatch
+            ("uint8", (2, 3), b"\x00" * 5),  # shape/raw-length mismatch
+            ("uint8", (-4,), b""),  # negative dimension
+            ("uint8", [4], b"\x00" * 4),  # shape not a tuple
+            ("uint8", (1,) * 65, b"\x00"),  # beyond numpy's dimension limit
+        ],
+    )
+    def test_malformed_array_record_raises_channel_error(
+        self, monkeypatch, fast, dtype_field, shape_field, raw
+    ):
+        record = (
+            b"A"
+            + serialize(dtype_field)
+            + serialize(shape_field)
+            + len(raw).to_bytes(4, "big")
+            + raw
+        )
+        monkeypatch.setattr(serialization, "_FAST_PATHS", fast)
+        with pytest.raises(ChannelError):
+            deserialize(record)
+        with pytest.raises(ChannelError):
+            deserialize(b"L" + (1).to_bytes(4, "big") + record)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_every_truncated_array_record_rejected(self, monkeypatch, fast):
+        data = serialize(np.arange(6, dtype=np.int64).reshape(2, 3))
+        monkeypatch.setattr(serialization, "_FAST_PATHS", fast)
+        for cut in range(1, len(data)):
+            with pytest.raises(ChannelError, match="truncated"):
+                deserialize(data[:cut])
 
     def test_int_size_scales_with_magnitude(self):
         """Cost realism: big masked values cost what big ints cost."""

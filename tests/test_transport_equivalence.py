@@ -11,6 +11,7 @@ full sessions across secure/insecure channels and every PRNG kind.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,6 +151,59 @@ class TestCodecEquivalence:
         values = list(range(5000))
         wire = serialization.serialize(values)
         assert serialization.deserialize(wire) == values
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0],
+            [1],
+            [-1],
+            [2**64 - 1],
+            [2**64],
+            [-(2**64)],
+            [0, 1, 2**64 - 1, 255, 256],  # uint64 lane
+            [0, 1, -1, 2**63 - 1, -(2**63 - 1)],  # int64 lane
+            [-(2**63), 5],  # int64 minimum: per element
+            [0, 1, -1, 2**64 - 1, 2**64, -(2**64)],  # per element
+        ],
+    )
+    def test_int_run_matches_per_element_records(self, values):
+        out: list[bytes] = []
+        assert serialization._encode_int_run(values, out)
+        assert out == [b"".join(map(serialization._encode_int, values))]
+
+    @pytest.mark.parametrize("odd", [True, np.int64(3)])
+    def test_int_run_with_foreign_type_takes_generic_path(self, odd):
+        values = [1, 2, odd, 4]
+        out: list[bytes] = []
+        assert not serialization._encode_int_run(values, out)
+        assert out == []
+        fast = serialization.serialize(values)
+        with scalar_transport():
+            assert serialization.serialize(values) == fast
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array(7, dtype=np.int64),  # 0-d
+            np.zeros((0,), dtype=np.float64),
+            np.zeros((3, 0, 2), dtype=np.uint8),
+            np.arange(24, dtype=np.int32).reshape(2, 3, 4),
+            np.arange(6, dtype=np.float32).reshape(3, 2).T,  # non-contiguous
+        ],
+    )
+    def test_array_records_match_generic_codec(self, array):
+        payload = [array, [array, 1], {"a": array}]
+        fast = serialization.serialize(payload)
+        with scalar_transport():
+            assert serialization.serialize(payload) == fast
+            generic = serialization.deserialize(fast)
+        for decoded in (serialization.deserialize(fast), generic):
+            for got in (decoded[0], decoded[1][0], decoded[2]["a"]):
+                expected = np.ascontiguousarray(array)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert np.array_equal(got, expected)
+                assert got.flags.writeable
 
 
 def _session_partitions():

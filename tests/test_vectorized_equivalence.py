@@ -120,6 +120,68 @@ def test_property_numeric_batch_equivalence(kind, mask_bits, seed, values_j, val
     assert unmasked_v.tolist() == unmasked_r
 
 
+def _unmask_both_modes(values_j, values_k, mask_bits, seed=7):
+    """TP unmask outputs (vectorized, reference) for batch and per-pair."""
+    out = []
+    jk, jt = make_prng(seed), make_prng(seed + 1)
+    masked = ref.initiator_mask_batch(values_j, jk, jt, mask_bits)
+    matrix = ref.responder_matrix_batch(values_k, masked, make_prng(seed))
+    jt_v, jt_r = _clones(seed + 1, "hash_drbg")
+    out.append(
+        (
+            num_vec.third_party_unmask_batch(matrix, jt_v, mask_bits),
+            ref.third_party_unmask_batch(matrix, jt_r, mask_bits),
+        )
+    )
+    jk, jt = make_prng(seed + 2), make_prng(seed + 3)
+    masked = ref.initiator_mask_per_pair(values_j, len(values_k), jk, jt, mask_bits)
+    matrix = ref.responder_matrix_per_pair(values_k, masked, make_prng(seed + 2))
+    jt_v, jt_r = _clones(seed + 3, "hash_drbg")
+    out.append(
+        (
+            num_vec.third_party_unmask_per_pair(matrix, jt_v, mask_bits),
+            ref.third_party_unmask_per_pair(matrix, jt_r, mask_bits),
+        )
+    )
+    return out
+
+
+class TestUnmaskDemotion:
+    """The TP unmask leaves the exact object path as int64 when it can."""
+
+    @pytest.mark.parametrize("mask_bits", [64, 96, 128])
+    def test_small_distances_come_back_int64(self, mask_bits):
+        for got, expected in _unmask_both_modes([3, -15, 10**12, 0], [8, -10**9], mask_bits):
+            assert got.dtype == np.int64
+            assert got.tolist() == expected
+
+    def test_distances_at_the_bound_stay_object(self):
+        # |x - y| reaches 2^62 exactly: the first value that no longer fits.
+        for got, expected in _unmask_both_modes([0, 2**62], [0], 64):
+            assert got.dtype == object
+            assert got.tolist() == expected
+            assert max(map(max, expected)) == 2**62
+
+    def test_huge_entries_with_wide_masks_stay_object(self):
+        for got, expected in _unmask_both_modes([2**90, -(2**70)], [2**80, 5], 128):
+            assert got.dtype == object
+            assert got.tolist() == expected
+            assert all(type(v) is int for row in got.tolist() for v in row)
+
+    def test_non_integral_entries_are_never_truncated(self):
+        matrix = [[2**64 + 0.5, 7], [3, 2**63]]
+        jt_v, jt_r = _clones(5, "hash_drbg")
+        got = num_vec.third_party_unmask_batch(matrix, jt_v, 64)
+        assert got.dtype == object
+        assert got.tolist() == ref.third_party_unmask_batch(matrix, jt_r, 64)
+
+    def test_numpy_integers_in_rows_match_reference(self):
+        matrix = [[np.int64(5), 2**64 + 1], [np.uint64(2**63), True]]
+        jt_v, jt_r = _clones(6, "hash_drbg")
+        got = num_vec.third_party_unmask_batch(matrix, jt_v, 64)
+        assert got.tolist() == ref.third_party_unmask_batch(matrix, jt_r, 64)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize(
     "alphabet", [DNA_ALPHABET, FIGURE7_ALPHABET, WIDE_ALPHABET]
