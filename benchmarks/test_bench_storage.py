@@ -7,7 +7,7 @@ triangle size, so clustering runs at object counts whose condensed
 matrix could never sit in RAM.  This bench runs the synthetic-scale
 probe (:mod:`repro.apps.storage_probe`) in subprocesses (one workload
 per process, so ``ru_maxrss`` measures exactly that workload) for both
-scenarios on both float64 backends, asserts digest equality and the
+scenarios on both backends, asserts digest equality and the
 RSS ceiling, and persists the numbers to ``BENCH_storage.json``.
 
 Scale knobs: ``STORAGE_BENCH_N`` (default 2000 keeps the tier-1 suite
@@ -135,27 +135,3 @@ def test_storage_backends_at_scale(tmp_path, table, bench_store):
         ("scenario", "backend", "seconds", "peak RSS (MB)", "cap (MB)"),
     )
     bench_store("storage", entries)
-
-
-def test_float32_backend_halves_storage(tmp_path, table, bench_store):
-    """The float32 backend is the storage/precision trade: same probe,
-    half the bytes per entry, digests allowed to differ."""
-    n = min(STORAGE_BENCH_N, 2000)
-    report = _probe("pam", "float32", n, tmp_path)
-    assert report["backend"] == "float32"
-    bench_store(
-        "storage",
-        {
-            f"pam_float32_n{n}": {
-                "n": n,
-                "backend": "float32",
-                "seconds": report["seconds"],
-                "peak_rss_mb": report["peak_rss_mb"],
-            }
-        },
-    )
-    table(
-        f"float32 backend, n={n}",
-        [("pam", "float32", report["seconds"], report["peak_rss_mb"])],
-        ("scenario", "backend", "seconds", "peak RSS (MB)"),
-    )

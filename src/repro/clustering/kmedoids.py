@@ -28,6 +28,10 @@ O(n^2 + n k) per iteration.  BUILD is likewise a single vectorized gain
 computation per added medoid.  Deterministic throughout, and identical
 to the reference trajectory (the winner selection replays the seed's
 scan order and its 1e-12 strict-improvement rule).
+
+Both phases stream the square in row/column panels of
+``_CANDIDATE_BLOCK`` rows off the condensed store (:class:`_Panels`), so
+no square is ever materialised on any backend.
 """
 
 from __future__ import annotations
@@ -46,26 +50,51 @@ from repro.exceptions import ClusteringError
 #: Candidate columns are scored in blocks of this many to bound the
 #: working set at O(n * block) instead of O(n^2) scratch.
 _CANDIDATE_BLOCK = 512
+#: Rows per slab of :func:`_copy_transposed`.
+_TRANSPOSE_SLAB = 64
 
 
-class _StorePanels:
-    """Row/column panels of the square matrix, streamed off a condensed store.
+def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src.T``, a slab of source rows at a time.
 
-    The sharded PAM path never materialises ``to_square()``: a row panel
-    for rows ``[r0, r1)`` is one contiguous condensed segment (all
-    below-diagonal entries of those rows), a symmetric in-band fill, and
-    one block-ascending gather for the columns beyond ``r1``.  Column
-    blocks are the transposed panels copied C-contiguous, so every
-    reduction downstream runs over temporaries with the exact shape,
-    layout, and element order of the dense path's -- which is what keeps
-    medoid selection bit-identical on the float64 memmap backend.
+    One whole-array transposed copy strides through memory on every
+    element; slabs keep each source/destination pair cache-resident,
+    which makes the copy several times faster at panel sizes.
+    """
+    for r0 in range(0, src.shape[0], _TRANSPOSE_SLAB):
+        dst[:, r0 : r0 + _TRANSPOSE_SLAB] = src[r0 : r0 + _TRANSPOSE_SLAB].T
+
+
+class _Panels:
+    """Row/column panels of the square matrix, streamed off the condensed store.
+
+    PAM never materialises ``to_square()``: a panel of rows ``[r0, r1)``
+    is one contiguous condensed segment (every below-diagonal entry of
+    those rows) mirrored across the in-band diagonal, plus one
+    block-ascending gather for the columns beyond ``r1``.  Panels hold
+    exactly the values, shape and C-contiguous layout of the matching
+    slice of the square, so every reduction downstream sees the same
+    operands in the same order as the seed's dense square would.
+
+    PAM rebuilds every panel once per BUILD pass and per SWAP iteration,
+    so panels live in four buffers of ``n * _CANDIDATE_BLOCK`` entries
+    allocated once here (plus the store's cache): a returned panel or
+    block is valid until the next one is requested, and callers may
+    overwrite it.
     """
 
     def __init__(self, matrix: DissimilarityMatrix) -> None:
         self.store = matrix.store
-        self.n = matrix.num_objects
-        self.offsets = condensed_offsets(self.n)
-        self._scratch = np.empty(self.n, dtype=np.int64)
+        self.n = n = matrix.num_objects
+        self.offsets = condensed_offsets(n)
+        self._scratch = np.empty(n, dtype=np.int64)
+        cells = min(n, _CANDIDATE_BLOCK) * n
+        #: The panel or block handed out, and the part built beside it
+        #: (a row panel's gathered tail, a column block's band rows).
+        self._panel_buf = np.empty(cells, dtype=np.float64)
+        self._part_buf = np.empty(cells, dtype=np.float64)
+        self._segment_buf = np.empty(cells, dtype=np.float64)
+        self._positions_buf = np.empty(cells, dtype=np.int64)
 
     def column(self, index: int) -> np.ndarray:
         """Column ``index`` of the square (== row, exactly: symmetry)."""
@@ -81,30 +110,56 @@ class _StorePanels:
             out[:, slot] = self.column(int(index))
         return out
 
+    def _band_rows(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        """Rows ``[r0, r1)`` of the square, columns ``[0, r1)``, into ``out``.
+
+        Each row's below-diagonal run is a slice of one contiguous read;
+        the in-band block above the diagonal is its mirror image.
+        """
+        base = int(self.offsets[r0])
+        stop = r1 * (r1 - 1) // 2
+        segment = self.store.read(base, stop, out=self._segment_buf[: stop - base])
+        band = out[:, r0:]
+        band[...] = 0.0
+        for a, row in enumerate(range(r0, r1)):
+            start = int(self.offsets[row]) - base
+            out[a, :row] = segment[start : start + row]
+        mirror = np.empty_like(band)
+        _copy_transposed(mirror, band)
+        band += mirror
+        return out
+
+    def _tail(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``d(c, r)`` for ``c >= r1``, ``r0 <= r < r1``, as
+        ``(n - r1, r1 - r0)``: one ascending gather, a run per row ``c``."""
+        shape = (self.n - r1, r1 - r0)
+        positions = self._positions_buf[: shape[0] * shape[1]].reshape(shape)
+        np.add(
+            self.offsets[r1:, None],
+            np.arange(r0, r1, dtype=np.int64),
+            out=positions,
+        )
+        if out is None:
+            out = self._part_buf[: positions.size].reshape(shape)
+        return self.store.gather(positions, out=out)
+
     def row_panel(self, r0: int, r1: int) -> np.ndarray:
         """Rows ``[r0, r1)`` of the square as a ``(r1 - r0, n)`` array."""
-        n = self.n
-        width = r1 - r0
-        panel = np.zeros((width, n), dtype=np.float64)
-        base = int(self.offsets[r0])
-        segment = self.store.read(base, r1 * (r1 - 1) // 2)
-        for a in range(width):
-            row = r0 + a
-            start = int(self.offsets[row]) - base
-            panel[a, :row] = segment[start : start + row]
-            # In-band symmetric fill: d(row, r0..row-1) is column `row`
-            # of the earlier panel rows.
-            panel[:a, row] = segment[start + r0 : start + row]
-        if r1 < n:
-            cols = np.arange(r0, r1, dtype=np.int64)
-            positions = self.offsets[r1:, None] + cols[None, :]
-            tail = self.store.gather(positions.reshape(-1)).reshape(n - r1, width)
-            panel[:, r1:] = tail.T
+        panel = self._panel_buf[: (r1 - r0) * self.n].reshape(r1 - r0, self.n)
+        self._band_rows(r0, r1, panel[:, :r1])
+        if r1 < self.n:
+            _copy_transposed(panel[:, r1:], self._tail(r0, r1))
         return panel
 
     def column_block(self, start: int, stop: int) -> np.ndarray:
         """Columns ``[start, stop)`` as C-contiguous ``(n, stop - start)``."""
-        return np.ascontiguousarray(self.row_panel(start, stop).T)
+        width = stop - start
+        block = self._panel_buf[: self.n * width].reshape(self.n, width)
+        rows = self._part_buf[: width * stop].reshape(width, stop)
+        _copy_transposed(block[:stop], self._band_rows(start, stop, rows))
+        if stop < self.n:
+            self._tail(start, stop, out=block[stop:])
+        return block
 
 
 @dataclass(frozen=True)
@@ -118,128 +173,70 @@ class KMedoidsResult:
     converged: bool
 
 
-def _assignment_cost(square: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, float]:
-    """Nearest-medoid labels and the summed distance cost."""
-    distances = square[:, medoids]
-    nearest = distances.argmin(axis=1)
-    cost = float(distances[np.arange(square.shape[0]), nearest].sum())
-    return nearest, cost
-
-
-def _build_init(square: np.ndarray, k: int) -> list[int]:
+def _build_init(panels: _Panels, k: int) -> list[int]:
     """PAM BUILD: greedily add the medoid that most reduces total cost.
 
-    One numpy gain computation per added medoid: rows of
-    ``nearest - square`` clipped at zero are exactly the per-candidate
+    One numpy gain computation per added medoid, panel by panel: rows of
+    ``nearest - panel`` clipped at zero are exactly the per-candidate
     columns the seed loop evaluated one by one (the matrix is symmetric),
     summed along the contiguous axis so the reductions -- and therefore
     the greedy tie-breaking -- match the seed bit for bit.
     """
-    n = square.shape[0]
-    first = int(square.sum(axis=1).argmin())
-    medoids = [first]
-    is_medoid = np.zeros(n, dtype=bool)
-    is_medoid[first] = True
-    nearest = square[:, first].copy()
-    while len(medoids) < k:
-        gains = np.maximum(nearest[None, :] - square, 0.0).sum(axis=1)
-        gains[is_medoid] = -np.inf
-        best = int(gains.argmax())
-        medoids.append(best)
-        is_medoid[best] = True
-        nearest = np.minimum(nearest, square[:, best])
-    return medoids
-
-
-def _store_build_init(source: _StorePanels, k: int) -> list[int]:
-    """BUILD over a sharded matrix: :func:`_build_init` panel by panel.
-
-    Each gain pass reduces per-row over contiguous panel rows -- the same
-    pairwise-summation element order as the dense full-matrix temporary
-    -- so the greedy choices (argmin/argmax over bit-identical vectors)
-    match the dense path exactly on float64 backends.
-    """
-    n = source.n
+    n = panels.n
     sums = np.empty(n, dtype=np.float64)
     for r0 in range(0, n, _CANDIDATE_BLOCK):
         r1 = min(n, r0 + _CANDIDATE_BLOCK)
-        sums[r0:r1] = source.row_panel(r0, r1).sum(axis=1)
+        sums[r0:r1] = panels.row_panel(r0, r1).sum(axis=1)
     first = int(sums.argmin())
     medoids = [first]
     is_medoid = np.zeros(n, dtype=bool)
     is_medoid[first] = True
-    nearest = source.column(first)
+    nearest = panels.column(first)
+    gains = np.empty(n, dtype=np.float64)
     while len(medoids) < k:
-        gains = np.empty(n, dtype=np.float64)
         for r0 in range(0, n, _CANDIDATE_BLOCK):
             r1 = min(n, r0 + _CANDIDATE_BLOCK)
-            panel = source.row_panel(r0, r1)
-            gains[r0:r1] = np.maximum(nearest[None, :] - panel, 0.0).sum(axis=1)
+            gain = panels.row_panel(r0, r1)
+            np.subtract(nearest[None, :], gain, out=gain)
+            np.maximum(gain, 0.0, out=gain)
+            gains[r0:r1] = gain.sum(axis=1)
         gains[is_medoid] = -np.inf
         best = int(gains.argmax())
         medoids.append(best)
         is_medoid[best] = True
-        nearest = np.minimum(nearest, source.column(best))
+        nearest = np.minimum(nearest, panels.column(best))
     return medoids
 
 
 def _swap_deltas(
-    square: np.ndarray,
+    panels: _Panels,
     medoid_idx: np.ndarray,
     nearest: np.ndarray,
     dnearest: np.ndarray,
     dsecond: np.ndarray,
 ) -> np.ndarray:
     """Cost deltas of every (medoid position, candidate) swap, (k, n)."""
-    n = square.shape[0]
+    n = panels.n
     k = medoid_idx.shape[0]
     member = [nearest == m for m in range(k)]
     deltas = np.empty((k, n), dtype=np.float64)
-    dnear_col = dnearest[:, None]
-    dsecond_col = dsecond[:, None]
-    for start in range(0, n, _CANDIDATE_BLOCK):
-        block = slice(start, min(start + _CANDIDATE_BLOCK, n))
-        d_c = square[:, block]
-        reduction = np.minimum(d_c - dnear_col, 0.0)
-        shared = reduction.sum(axis=0)
-        # For points losing their nearest medoid, the reduction term is
-        # replaced by min(d(i,c), dsecond(i)) - dnearest(i).
-        correction = np.minimum(d_c, dsecond_col) - dnear_col - reduction
-        for m in range(k):
-            deltas[m, block] = shared + correction[member[m]].sum(axis=0)
-    deltas[:, medoid_idx] = np.inf
-    return deltas
-
-
-def _store_swap_deltas(
-    source: _StorePanels,
-    medoid_idx: np.ndarray,
-    nearest: np.ndarray,
-    dnearest: np.ndarray,
-    dsecond: np.ndarray,
-) -> np.ndarray:
-    """:func:`_swap_deltas` over streamed column blocks.
-
-    The dense path's reductions all run on C-contiguous ``(n, block)``
-    temporaries (the strided ``square[:, block]`` view is consumed by
-    elementwise ops first), so feeding the same expressions a contiguous
-    ``column_block`` copy reproduces every delta bit for bit.
-    """
-    n = source.n
-    k = medoid_idx.shape[0]
-    member = [nearest == m for m in range(k)]
-    deltas = np.empty((k, n), dtype=np.float64)
+    scratch = np.empty(n * min(n, _CANDIDATE_BLOCK), dtype=np.float64)
     dnear_col = dnearest[:, None]
     dsecond_col = dsecond[:, None]
     for start in range(0, n, _CANDIDATE_BLOCK):
         stop = min(start + _CANDIDATE_BLOCK, n)
-        block = slice(start, stop)
-        d_c = source.column_block(start, stop)
-        reduction = np.minimum(d_c - dnear_col, 0.0)
+        d_c = panels.column_block(start, stop)
+        reduction = scratch[: d_c.size].reshape(d_c.shape)
+        np.subtract(d_c, dnear_col, out=reduction)
+        np.minimum(reduction, 0.0, out=reduction)
         shared = reduction.sum(axis=0)
-        correction = np.minimum(d_c, dsecond_col) - dnear_col - reduction
+        # For points losing their nearest medoid, the reduction term is
+        # replaced by min(d(i,c), dsecond(i)) - dnearest(i).
+        correction = np.minimum(d_c, dsecond_col, out=d_c)
+        correction -= dnear_col
+        correction -= reduction
         for m in range(k):
-            deltas[m, block] = shared + correction[member[m]].sum(axis=0)
+            deltas[m, start:stop] = shared + correction[member[m]].sum(axis=0)
     deltas[:, medoid_idx] = np.inf
     return deltas
 
@@ -293,17 +290,8 @@ def k_medoids(
     n = matrix.num_objects
     if not 1 <= k <= n:
         raise ClusteringError(f"k must be in [1, {n}], got {k}")
-    values = matrix.store.array_view()
-    if values is not None:
-        square: np.ndarray | None = matrix.to_square()
-        source: _StorePanels | None = None
-        medoids = _build_init(square, k)
-    else:
-        # Sharded backend: stream panels, never materialise the square --
-        # peak memory is O(n * _CANDIDATE_BLOCK) plus the store's cache.
-        square = None
-        source = _StorePanels(matrix)
-        medoids = _store_build_init(source, k)
+    panels = _Panels(matrix)
+    medoids = _build_init(panels, k)
 
     iterations = 0
     converged = False
@@ -313,10 +301,7 @@ def k_medoids(
     while iterations < max_iterations:
         iterations += 1
         medoid_idx = np.asarray(medoids, dtype=np.int64)
-        if square is not None:
-            distances = square[:, medoid_idx]
-        else:
-            distances = source.columns(medoid_idx)
+        distances = panels.columns(medoid_idx)
         nearest = distances.argmin(axis=1)
         dnearest = distances[row_index, nearest]
         if k > 1:
@@ -324,24 +309,16 @@ def k_medoids(
             dsecond = distances.min(axis=1)
         else:
             dsecond = np.full(n, np.inf)
-        if square is not None:
-            deltas = _swap_deltas(square, medoid_idx, nearest, dnearest, dsecond)
-        else:
-            deltas = _store_swap_deltas(
-                source, medoid_idx, nearest, dnearest, dsecond
-            )
+        deltas = _swap_deltas(panels, medoid_idx, nearest, dnearest, dsecond)
         swap = _select_swap(deltas)
         if swap is None:
             converged = True
             break
         medoids[swap[0]] = int(swap[1])
 
-    if square is not None:
-        nearest, cost = _assignment_cost(square, medoids)
-    else:
-        distances = source.columns(np.asarray(medoids, dtype=np.int64))
-        nearest = distances.argmin(axis=1)
-        cost = float(distances[row_index, nearest].sum())
+    distances = panels.columns(np.asarray(medoids, dtype=np.int64))
+    nearest = distances.argmin(axis=1)
+    cost = float(distances[row_index, nearest].sum())
     # Renumber labels by first appearance so results are comparable.
     remap: dict[int, int] = {}
     labels = []

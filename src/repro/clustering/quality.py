@@ -10,12 +10,16 @@ Two families:
   reproduction experiments to quantify the paper's zero-accuracy-loss
   claim; no protocol component reads ground truth.
 
-Every metric here is a condensed-array formulation: per-pair cluster
-labels are gathered once over the condensed vector and reduced with
-``np.bincount`` / boolean masks, replacing the seed's nested Python
-loops (preserved in :mod:`repro.clustering.reference`, which the
-equivalence suite holds these to within 1e-9 -- exactly, for the
-integer-valued pair counts).
+Every metric here is a condensed-array formulation streamed over the
+matrix's store blocks: per-pair cluster labels are gathered per block and
+reduced with ``np.add.at`` / ``np.bincount`` / boolean masks, replacing
+the seed's nested Python loops (preserved in
+:mod:`repro.clustering.reference`, which the equivalence suite holds
+these to within 1e-9 -- exactly, for the integer-valued pair counts).
+Float sums go through ``np.add.at`` into one accumulator, which adds
+addend by addend in condensed order (the sequence one ``np.bincount``
+over the whole vector adds), so every figure is bit-identical for any
+backend and block size.
 """
 
 from __future__ import annotations
@@ -24,12 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.distance.dissimilarity import (
-    DissimilarityMatrix,
-    condensed_pair_indices,
-    condensed_unravel,
-    same_label_mask,
-)
+from repro.distance.dissimilarity import DissimilarityMatrix, condensed_span_indices
 from repro.exceptions import ClusteringError
 
 
@@ -44,15 +43,6 @@ def _validate_labels(matrix: DissimilarityMatrix | None, labels: Sequence[int]) 
     return labels
 
 
-def _pair_label_codes(
-    matrix: DissimilarityMatrix, labels: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted unique labels, per-object codes, per-pair row codes, col codes)."""
-    unique, codes = np.unique(np.asarray(labels), return_inverse=True)
-    i, j = condensed_pair_indices(matrix.num_objects)
-    return unique, codes, codes[i], codes[j]
-
-
 # -- internal metrics ---------------------------------------------------------
 
 
@@ -63,32 +53,17 @@ def average_square_distance(matrix: DissimilarityMatrix, labels: Sequence[int]) 
     singleton clusters report 0.0.
     """
     labels = _validate_labels(matrix, labels)
-    values = matrix.store.array_view()
-    if values is not None:
-        unique, _, row_codes, col_codes = _pair_label_codes(matrix, labels)
-        same = row_codes == col_codes
+    unique, codes = np.unique(np.asarray(labels), return_inverse=True)
+    sums = np.zeros(unique.size, dtype=np.float64)
+    counts = np.zeros(unique.size, dtype=np.int64)
+    store = matrix.store
+    for start, stop in store.block_ranges():
+        i, j = condensed_span_indices(start, stop)
+        row_codes = codes[i]
+        same = row_codes == codes[j]
         cluster_of_pair = row_codes[same]
-        sums = np.bincount(
-            cluster_of_pair, weights=values[same] ** 2, minlength=unique.size
-        )
-        counts = np.bincount(cluster_of_pair, minlength=unique.size)
-    else:
-        # Streamed: np.add.at into one accumulator over ascending blocks
-        # adds per-cluster terms in the same order as the full bincount,
-        # so this published statistic stays bit-identical on float64
-        # sharded backends.
-        unique, codes = np.unique(np.asarray(labels), return_inverse=True)
-        sums = np.zeros(unique.size, dtype=np.float64)
-        counts = np.zeros(unique.size, dtype=np.int64)
-        for start, stop in matrix.store.block_ranges():
-            i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
-            row_codes, col_codes = codes[i], codes[j]
-            same = row_codes == col_codes
-            cluster_of_pair = row_codes[same]
-            np.add.at(
-                sums, cluster_of_pair, matrix.store.read(start, stop)[same] ** 2
-            )
-            counts += np.bincount(cluster_of_pair, minlength=unique.size)
+        np.add.at(sums, cluster_of_pair, store.read(start, stop)[same] ** 2)
+        counts += np.bincount(cluster_of_pair, minlength=unique.size)
     return {
         int(cluster): (float(total / count) if count else 0.0)
         for cluster, total, count in zip(unique, sums, counts)
@@ -107,26 +82,17 @@ def silhouette_score(matrix: DissimilarityMatrix, labels: Sequence[int]) -> floa
     if k < 2:
         raise ClusteringError("silhouette requires at least two clusters")
     n = matrix.num_objects
-    values = matrix.store.array_view()
-    if values is not None:
-        i, j = condensed_pair_indices(n)
-        row_codes, col_codes = codes[i], codes[j]
-        # cluster_sums[p, c]: total distance from object p to cluster c's members.
-        cluster_sums = (
-            np.bincount(i * k + col_codes, weights=values, minlength=n * k)
-            + np.bincount(j * k + row_codes, weights=values, minlength=n * k)
-        ).reshape(n, k)
-    else:
-        # Streamed twin of the bincount pair: same accumulators, same
-        # addend order (ascending condensed positions), bit-identical.
-        row_sums = np.zeros(n * k, dtype=np.float64)
-        col_sums = np.zeros(n * k, dtype=np.float64)
-        for start, stop in matrix.store.block_ranges():
-            i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
-            block = matrix.store.read(start, stop)
-            np.add.at(row_sums, i * k + codes[j], block)
-            np.add.at(col_sums, j * k + codes[i], block)
-        cluster_sums = (row_sums + col_sums).reshape(n, k)
+    # row_sums[p * k + c] / col_sums[p * k + c]: total distance from object
+    # p to cluster c's members, over the pairs where p is the row / column.
+    row_sums = np.zeros(n * k, dtype=np.float64)
+    col_sums = np.zeros(n * k, dtype=np.float64)
+    store = matrix.store
+    for start, stop in store.block_ranges():
+        i, j = condensed_span_indices(start, stop)
+        block = store.read(start, stop)
+        np.add.at(row_sums, i * k + codes[j], block)
+        np.add.at(col_sums, j * k + codes[i], block)
+    cluster_sums = (row_sums + col_sums).reshape(n, k)
     counts = np.bincount(codes, minlength=k)
     objects = np.arange(n)
     own_count = counts[codes]
@@ -154,22 +120,14 @@ def dunn_index(matrix: DissimilarityMatrix, labels: Sequence[int]) -> float:
     arr = np.asarray(labels)
     if np.unique(arr).size < 2:
         raise ClusteringError("Dunn index requires at least two clusters")
-    values = matrix.store.array_view()
-    if values is not None:
-        same = same_label_mask(arr)
-        within = values[same]
-        max_within = float(within.max()) if within.size else 0.0
-        if max_within == 0.0:
-            return float("inf")
-        return float(values[~same].min()) / max_within
-    # Streamed: min/max are exactly associative, so block-wise extrema
-    # reproduce the dense answer bit-for-bit.
+    # min/max are exactly associative, so block-wise extrema are exact.
     max_within = -np.inf
     min_between = np.inf
-    for start, stop in matrix.store.block_ranges():
-        i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
+    store = matrix.store
+    for start, stop in store.block_ranges():
+        i, j = condensed_span_indices(start, stop)
         same = arr[i] == arr[j]
-        block = matrix.store.read(start, stop)
+        block = store.read(start, stop)
         if np.any(same):
             max_within = max(max_within, float(block[same].max()))
         if not np.all(same):

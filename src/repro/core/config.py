@@ -93,14 +93,14 @@ class ProtocolSuiteConfig:
         ``False`` preserves fail-fast behaviour.
     store_backend:
         Storage backend for the third party's dissimilarity matrices
-        (``"memory"`` | ``"float32"`` | ``"memmap"``); ``None`` defers to
-        the ``REPRO_STORE_BACKEND`` environment default.  The float64
-        memmap backend is bit-identical to in-memory end to end
-        (matrices, dendrograms, medoids, wire bytes); float32 trades
-        half the storage for one rounding per stored value.
+        (``"memory"`` | ``"memmap"``); ``None`` defers to the
+        ``REPRO_STORE_BACKEND`` environment default.  Both backends run
+        the same streamed code, so they are bit-identical end to end
+        (matrices, dendrograms, medoids, wire bytes).
     store_block_entries:
-        Entries per row-block shard / streaming granularity (``None``:
-        environment or module default).
+        Streaming granularity on either backend, and the row-block shard
+        size of memmap (``None``: environment or module default).
+        Results do not depend on it.
     store_cache_bytes:
         LRU byte budget for resident memmap blocks (``None``:
         environment or module default).

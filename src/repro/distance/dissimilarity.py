@@ -12,13 +12,10 @@ representation of what the third party actually materialises.  Pair
 row-major over Figure 2's filled entries.
 
 Storage is delegated to a :class:`~repro.distance.store.CondensedStore`
-backend (in-memory float64 by default; float32 and memory-mapped
-row-block shards for out-of-core scale).  Every operation asks the
-backend for :meth:`~repro.distance.store.CondensedStore.array_view`
-first: when that returns an ndarray (the in-memory backend) the
-historical numpy expressions run on it verbatim -- bit-identical to the
-pre-backend code -- and otherwise the same operation streams block-wise
-through the store, so no consumer algorithm changes per backend.
+backend (one in-memory float64 array by default; memory-mapped row-block
+shards for out-of-core scale).  Every operation has one implementation,
+which streams block-wise through the store API, so results are
+bit-identical on either backend and for any block size.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ from repro.exceptions import ClusteringError, ConfigurationError
 # Free functions over the condensed layout (pair (i, j), i > j, at position
 # i*(i-1)/2 + j).  The clustering layer runs directly on condensed vectors
 # through these, so the O(n^2)-memory algorithms never materialise a square.
-# Value-carrying primitives accept either a plain ndarray or a
-# CondensedStore and stream in the latter case.
+# Value-carrying primitives read a CondensedStore (wrap a plain condensed
+# array in InMemoryStore to use them on one).
 
 
 def condensed_size(num_objects: int) -> int:
@@ -67,10 +64,8 @@ def condensed_unravel(positions) -> tuple[np.ndarray, np.ndarray]:
 
     The inverse of :func:`condensed_position`: a float sqrt solve with an
     integer correction pass, exact at any position a float64 sqrt can
-    land within one row of (guarded both ways).  This is what lets
-    block-wise streams recover pair structure from a span of positions
-    without materialising :func:`condensed_pair_indices` for the whole
-    triangle.
+    land within one row of (guarded both ways).  Block-wise streams use
+    :func:`condensed_span_indices`, which needs it for the span ends only.
     """
     positions = np.asarray(positions, dtype=np.int64)
     rows = (1 + np.sqrt(1 + 8 * positions.astype(np.float64))) // 2
@@ -86,6 +81,48 @@ def condensed_offsets(num_objects: int) -> np.ndarray:
     """Row-start offsets: ``offsets[i]`` is the position of pair (i, 0)."""
     rows = np.arange(num_objects, dtype=np.int64)
     return rows * (rows - 1) // 2
+
+
+def condensed_span_indices(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair indices ``(i, j)``, ``i > j``, of condensed positions
+    ``[start, stop)``, in layout order.
+
+    How block-wise streams recover pair structure: only the span's two
+    ends are unravelled; the rows in between are a run-length expansion,
+    so the cost is a few integer passes over the span.
+    """
+    if stop <= start:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    ends, _ = condensed_unravel(np.array([start, stop - 1], dtype=np.int64))
+    rows = np.arange(ends[0], ends[1] + 1, dtype=np.int64)
+    row_starts = rows * (rows - 1) // 2
+    lengths = np.minimum(row_starts + rows, stop) - np.maximum(row_starts, start)
+    i = np.repeat(rows, lengths)
+    j = np.arange(start, stop, dtype=np.int64) - np.repeat(row_starts, lengths)
+    return i, j
+
+
+def condensed_pair_mask(keep: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Boolean mask over condensed positions ``[start, stop)``: true where
+    both objects of the pair are flagged in ``keep``.
+
+    Under an increasing object map the kept pairs of one frame are, in
+    layout order, exactly the pairs of the other frame, so growing or
+    shrinking a matrix is one masked copy per block.  Built row by row
+    from slices of ``keep``; no pair indices are materialised.
+    """
+    mask = np.zeros(max(stop - start, 0), dtype=bool)
+    if stop <= start:
+        return mask
+    ends, _ = condensed_unravel(np.array([start, stop - 1], dtype=np.int64))
+    first, last = int(ends[0]), int(ends[1])
+    for row in (np.flatnonzero(keep[first : last + 1]) + first).tolist():
+        row_start = row * (row - 1) // 2
+        lo = max(row_start, start)
+        hi = min(row_start + row, stop)
+        mask[lo - start : hi - start] = keep[lo - row_start : hi - row_start]
+    return mask
 
 
 def condensed_row_positions(
@@ -108,7 +145,7 @@ def condensed_row_positions(
 
 
 def condensed_row_gather(
-    values: np.ndarray | CondensedStore,
+    values: CondensedStore,
     index: int,
     num_objects: int,
     offsets: np.ndarray | None = None,
@@ -117,37 +154,21 @@ def condensed_row_gather(
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row ``index`` of the square matrix, read straight off the condensed
-    vector: a contiguous slice below the diagonal plus a strided gather
-    above it.  The diagonal entry is filled with ``diagonal``.
+    vector: one contiguous read below the diagonal plus one ascending
+    grouped gather above it.  The diagonal entry is filled with
+    ``diagonal``.
 
     Hot loops (the NN-chain clustering path) amortise allocation by
     passing a preallocated ``out`` (length ``num_objects``, the row) and
     ``scratch`` (length ``num_objects``, int64, workspace for the
-    above-diagonal gather positions).  ``values`` may be a
-    :class:`~repro.distance.store.CondensedStore`, in which case the
-    below-diagonal part is one contiguous block read and the tail one
-    ascending grouped gather.
+    above-diagonal gather positions).
     """
     if offsets is None:
         offsets = condensed_offsets(num_objects)
-    if isinstance(values, np.ndarray):
-        if out is None:
-            out = np.empty(num_objects, dtype=values.dtype)
-        start = int(offsets[index])
-        out[:index] = values[start : start + index]
-        out[index] = diagonal
-        if index + 1 < num_objects:
-            if scratch is None:
-                positions = offsets[index + 1 :] + index
-            else:
-                positions = scratch[: num_objects - index - 1]
-                np.add(offsets[index + 1 :], index, out=positions)
-            np.take(values, positions, out=out[index + 1 :])
-        return out
     if out is None:
         out = np.empty(num_objects, dtype=np.float64)
     start = int(offsets[index])
-    out[:index] = values.read(start, start + index)
+    values.read(start, start + index, out=out[:index])
     out[index] = diagonal
     if index + 1 < num_objects:
         if scratch is None:
@@ -160,7 +181,7 @@ def condensed_row_gather(
 
 
 def condensed_row_scatter(
-    values: np.ndarray | CondensedStore,
+    values: CondensedStore,
     index: int,
     num_objects: int,
     row: np.ndarray,
@@ -175,43 +196,30 @@ def condensed_row_scatter(
         where = np.ones(num_objects, dtype=bool)
     mask = where.copy()
     mask[index] = False
-    if isinstance(values, np.ndarray):
-        values[pos[mask]] = row[mask]
-    else:
-        values.scatter(pos[mask], row[mask])
+    values.scatter(pos[mask], row[mask])
 
 
-def condensed_argmin(
-    values: np.ndarray | CondensedStore, num_objects: int
-) -> tuple[int, int]:
+def condensed_argmin(values: CondensedStore, num_objects: int) -> tuple[int, int]:
     """Pair ``(i, j)``, ``i > j``, holding the smallest condensed value.
 
     Ties break exactly like ``np.argmin`` over the corresponding square
     matrix: the smallest ``(min(i, j), max(i, j))`` in lexicographic order
     -- the rule the seed agglomerative loop used, preserved so condensed
-    consumers stay merge-for-merge deterministic.  For a store backend
-    the scan streams block-wise: a min pass, then a tie-collection pass
-    at the exact minimum, then the identical tie-break -- the selected
-    pair is bit-for-bit the in-memory answer.
+    consumers stay merge-for-merge deterministic.  The scan streams
+    block-wise: a min pass, then a tie-collection pass at the exact
+    minimum, then the tie-break.
     """
-    if isinstance(values, np.ndarray):
-        if values.size == 0:
-            raise ClusteringError("condensed argmin needs at least one pair")
-        minimum = values.min()
-        ties = np.flatnonzero(values == minimum)
-    else:
-        if values.size == 0:
-            raise ClusteringError("condensed argmin needs at least one pair")
-        minimum = np.inf
-        for start, stop in values.block_ranges():
-            minimum = min(minimum, float(values.read(start, stop).min()))
-        tie_spans = []
-        for start, stop in values.block_ranges():
-            local = np.flatnonzero(values.read(start, stop) == minimum)
-            if local.size:
-                tie_spans.append(local + start)
-        ties = np.concatenate(tie_spans)
-    rows, cols = condensed_unravel(ties)
+    if values.size == 0:
+        raise ClusteringError("condensed argmin needs at least one pair")
+    minimum = np.inf
+    for start, stop in values.block_ranges():
+        minimum = min(minimum, float(values.read(start, stop).min()))
+    tie_spans = []
+    for start, stop in values.block_ranges():
+        local = np.flatnonzero(values.read(start, stop) == minimum)
+        if local.size:
+            tie_spans.append(local + start)
+    rows, cols = condensed_unravel(np.concatenate(tie_spans))
     best = np.lexsort((rows, cols))[0]
     return int(rows[best]), int(cols[best])
 
@@ -224,24 +232,19 @@ _DUPLICATE_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
 def condensed_has_duplicates(
-    values: np.ndarray | CondensedStore, budget_bytes: int = _DUPLICATE_SCAN_BYTES
+    values: CondensedStore, budget_bytes: int = _DUPLICATE_SCAN_BYTES
 ) -> bool:
     """Whether any two condensed entries hold the same value.
 
-    The in-memory answer is one sort plus an adjacent compare.  For a
-    store backend the same *boolean* is computed without materialising
-    the vector: values are partitioned by a hash of their (zero-
-    canonicalised) IEEE bit pattern into groups sized to ``budget_bytes``
-    and each group is sorted separately -- identical values share a bit
-    pattern, hence a group, so no duplicate can hide across groups.  The
-    linkage layer's tie check uses this, keeping NN-chain vs cached-
-    argmin path selection identical across backends.
+    Computed without holding more than ``budget_bytes`` of values at
+    once: values are partitioned by a hash of their (zero-canonicalised)
+    IEEE bit pattern into groups sized to ``budget_bytes``, and each
+    group is gathered from every block and sorted once -- identical
+    values share a bit pattern, hence a group, so no duplicate can hide
+    across groups or blocks.  A vector within the budget is one group:
+    one sort of the whole vector.  The linkage layer's tie check uses
+    this to choose between NN-chain and cached-argmin discovery.
     """
-    if isinstance(values, np.ndarray):
-        if values.size < 2:
-            return False
-        ordered = np.sort(values)
-        return bool(np.any(ordered[1:] == ordered[:-1]))
     size = values.size
     if size < 2:
         return False
@@ -250,24 +253,14 @@ def condensed_has_duplicates(
         parts = []
         for start, stop in values.block_ranges():
             block = values.read(start, stop)
-            if group == 0:
-                # Local duplicates resolve without any partitioning work.
-                local = np.sort(block)
-                if np.any(local[1:] == local[:-1]):
-                    return True
-                if groups == 1:
-                    continue
-            # Canonicalise -0.0 to +0.0: equal values, distinct patterns.
-            block = block + 0.0
-            bits = block.view(np.uint64)
-            mask = (bits * _DUPLICATE_HASH) % np.uint64(groups) == np.uint64(group)
-            part = block[mask]
-            if part.size:
-                parts.append(part)
-        if groups == 1:
-            return False
-        if not parts:
-            continue
+            if groups > 1:
+                # Canonicalise -0.0 to +0.0: equal values, distinct patterns.
+                block += 0.0
+                bits = block.view(np.uint64)
+                block = block[
+                    (bits * _DUPLICATE_HASH) % np.uint64(groups) == np.uint64(group)
+                ]
+            parts.append(block)
         merged = np.concatenate(parts)
         merged.sort()
         if np.any(merged[1:] == merged[:-1]):
@@ -278,7 +271,7 @@ def condensed_has_duplicates(
 def condensed_pair_indices(num_objects: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (I, J) with ``I[p] > J[p]`` for every condensed position
     ``p``, in layout order (row-major over the strict lower triangle)."""
-    return np.tril_indices(num_objects, -1)
+    return condensed_span_indices(0, condensed_size(num_objects))
 
 
 def condensed_tail_indices(
@@ -291,11 +284,7 @@ def condensed_tail_indices(
     grown site's delta covers, built directly at O(tail) cost -- the
     incremental path must never pay O(new_size^2) for a small batch.
     """
-    rows = np.arange(old_size, new_size, dtype=np.int64)
-    i = np.repeat(rows, rows)
-    starts = np.cumsum(rows) - rows
-    j = np.arange(i.size, dtype=np.int64) - np.repeat(starts, rows)
-    return i, j
+    return condensed_span_indices(condensed_size(old_size), condensed_size(new_size))
 
 
 def same_label_mask(labels: Sequence[int]) -> np.ndarray:
@@ -313,8 +302,8 @@ _TRIANGLE_CHUNK_CELLS = 1 << 17
 class DissimilarityMatrix:
     """Symmetric, zero-diagonal distance matrix in condensed storage.
 
-    ``store_spec`` picks the storage backend; ``None`` means the
-    historical in-memory float64 array.  The ``REPRO_STORE_BACKEND``
+    ``store_spec`` picks the storage backend; ``None`` means one
+    in-memory float64 array.  The ``REPRO_STORE_BACKEND``
     environment override is deliberately *not* consulted here: it flows
     in through :meth:`repro.core.config.ProtocolSuiteConfig.store_spec`,
     so it re-points the session-owned matrices (the third party's
@@ -426,30 +415,22 @@ class DissimilarityMatrix:
 
     @property
     def store(self) -> CondensedStore:
-        """The storage backend.  Algorithms use this to dispatch: a
-        non-``None`` :meth:`~repro.distance.store.CondensedStore.array_view`
-        is the dense fast path, otherwise they stream block-wise."""
+        """The storage backend; algorithms stream through it block-wise."""
         return self._store
 
     @property
     def store_kind(self) -> str:
-        """Backend name (``memory`` | ``float32`` | ``memmap``)."""
+        """Backend name (``memory`` | ``memmap``)."""
         return self._store.kind
 
     @property
     def condensed(self) -> np.ndarray:
-        """The strict lower triangle, Figure 2 order (read-only).
+        """The strict lower triangle, Figure 2 order (a read-only copy).
 
-        A zero-copy view for the in-memory backend; sharded backends
-        materialise a fresh array, so large-scale consumers should
-        stream through :meth:`read_condensed` /
-        :attr:`store` instead.
+        This materialises the whole vector, so large-scale consumers
+        should stream through :meth:`read_condensed` / :attr:`store`
+        instead.
         """
-        view = self._store.array_view()
-        if view is not None:
-            view = view.view()
-            view.flags.writeable = False
-            return view
         full = self._store.read(0, condensed_size(self._n))
         full.flags.writeable = False
         return full
@@ -497,9 +478,6 @@ class DissimilarityMatrix:
         i, j = self._check_pair(*pair)
         if i == j:
             return 0.0
-        values = self._store.array_view()
-        if values is not None:
-            return float(values[self._position(i, j)])
         position = self._position(i, j)
         return float(self._store.read(position, position + 1)[0])
 
@@ -511,13 +489,7 @@ class DissimilarityMatrix:
             return
         if value < 0 or not np.isfinite(value):
             raise ConfigurationError(f"invalid distance value {value}")
-        values = self._store.array_view()
-        if values is not None:
-            values[self._position(i, j)] = value
-        else:
-            self._store.write(
-                self._position(i, j), np.array([value], dtype=np.float64)
-            )
+        self._store.write(self._position(i, j), np.array([value], dtype=np.float64))
 
     def set_block(self, rows: Sequence[int], cols: Sequence[int], block: np.ndarray) -> None:
         """Assign a rectangular cross-site block.
@@ -553,11 +525,7 @@ class DissimilarityMatrix:
         if np.any(block < 0) or np.any(~np.isfinite(block)):
             raise ConfigurationError("block distances must be non-negative and finite")
         positions = condensed_position(row_idx[:, None], col_idx[None, :])
-        values = self._store.array_view()
-        if values is not None:
-            values[positions] = block
-        else:
-            self._store.scatter(positions, block)
+        self._store.scatter(positions, block)
 
     def cross_block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """Read a rectangular block as one fancy-indexed condensed gather.
@@ -580,11 +548,7 @@ class DissimilarityMatrix:
             return block
         off_diagonal = row_idx[:, None] != col_idx[None, :]
         positions = condensed_position(row_idx[:, None], col_idx[None, :])
-        values = self._store.array_view()
-        if values is not None:
-            block[off_diagonal] = values[positions[off_diagonal]]
-        else:
-            block[off_diagonal] = self._store.gather(positions[off_diagonal])
+        block[off_diagonal] = self._store.gather(positions[off_diagonal])
         return block
 
     # -- whole-matrix operations ----------------------------------------------
@@ -592,13 +556,9 @@ class DissimilarityMatrix:
     def to_square(self) -> np.ndarray:
         """Full symmetric square matrix (copies)."""
         square = np.zeros((self._n, self._n), dtype=np.float64)
-        values = self._store.array_view()
-        if values is not None:
-            square[np.tril_indices(self._n, -1)] = values
-        else:
-            for start, stop in self._store.block_ranges():
-                i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
-                square[i, j] = self._store.read(start, stop)
+        for start, stop in self._store.block_ranges():
+            i, j = condensed_span_indices(start, stop)
+            square[i, j] = self._store.read(start, stop)
         return square + square.T
 
     def to_scipy_condensed(self) -> np.ndarray:
@@ -608,23 +568,13 @@ class DissimilarityMatrix:
         ``scipy.cluster.hierarchy``.
         """
         i, j = np.triu_indices(self._n, 1)
-        positions = condensed_position(i, j)
-        values = self._store.array_view()
-        if values is not None:
-            return values[positions]
-        return self._store.gather(positions)
+        return self._store.gather(condensed_position(i, j))
 
     def max_value(self) -> float:
         """Largest pairwise distance (the Figure 11 normaliser)."""
         if self._store.size == 0:
             return 0.0
-        values = self._store.array_view()
-        if values is not None:
-            return float(values.max())
-        peak = -np.inf
-        for start, stop in self._store.block_ranges():
-            peak = max(peak, float(self._store.read(start, stop).max()))
-        return peak
+        return max(float(values.max()) for _, values in self._store.blocks())
 
     def normalized(self) -> "DissimilarityMatrix":
         """Scale into [0, 1] by the maximum distance (Figure 11, step 4).
@@ -634,14 +584,10 @@ class DissimilarityMatrix:
         peak = self.max_value()
         if peak == 0.0:
             return self.copy()
-        values = self._store.array_view()
-        if values is not None:
-            return DissimilarityMatrix._adopt(
-                self._n, self._store.adopt(values / peak)
-            )
         fresh = self._store.spawn(self._store.size)
-        for start, stop in fresh.block_ranges():
-            fresh.write(start, self._store.read(start, stop) / peak)
+        scaled = np.empty(min(fresh.block_entries, fresh.size), dtype=np.float64)
+        for start, values in self._store.blocks():
+            fresh.write(start, np.divide(values, peak, out=scaled[: values.size]))
         return DissimilarityMatrix._adopt(self._n, fresh)
 
     def submatrix(self, indices: Sequence[int]) -> "DissimilarityMatrix":
@@ -656,16 +602,9 @@ class DissimilarityMatrix:
             raise ConfigurationError(
                 f"submatrix indices out of range for {self._n} objects"
             )
-        values = self._store.array_view()
-        if values is not None:
-            a, b = np.tril_indices(len(indices), -1)
-            return DissimilarityMatrix._adopt(
-                len(indices),
-                self._store.adopt(values[condensed_position(idx[a], idx[b])]),
-            )
         fresh = self._store.spawn(condensed_size(len(indices)))
         for start, stop in fresh.block_ranges():
-            a, b = condensed_unravel(np.arange(start, stop, dtype=np.int64))
+            a, b = condensed_span_indices(start, stop)
             fresh.write(
                 start, self._store.gather(condensed_position(idx[a], idx[b]))
             )
@@ -694,16 +633,8 @@ class DissimilarityMatrix:
             raise ConfigurationError(
                 f"submatrix indices out of range for {self._n} objects"
             )
-        if local.num_objects < 2:
-            return
-        values = self._store.array_view()
-        local_values = local._store.array_view()
-        if values is not None and local_values is not None:
-            a, b = np.tril_indices(local.num_objects, -1)
-            values[condensed_position(idx[a], idx[b])] = local_values
-            return
         for start, stop in local._store.block_ranges():
-            a, b = condensed_unravel(np.arange(start, stop, dtype=np.int64))
+            a, b = condensed_span_indices(start, stop)
             self._store.scatter(
                 condensed_position(idx[a], idx[b]), local._store.read(start, stop)
             )
@@ -714,9 +645,9 @@ class DissimilarityMatrix:
         ``new_positions`` are the rows the inserted objects occupy in the
         grown matrix; existing objects keep their relative order in the
         remaining rows.  Every pair of surviving objects keeps its exact
-        value via one condensed remap (streamed block-wise on sharded
-        backends); every pair touching an inserted object starts at 0, to
-        be filled by the delta construction (:mod:`repro.core.delta`).
+        value via one masked copy per grown block (:func:`condensed_pair_mask`);
+        every pair touching an inserted object starts at 0, to be filled by
+        the delta construction (:mod:`repro.core.delta`).
         """
         new_positions = list(new_positions)
         if len(set(new_positions)) != len(new_positions):
@@ -729,37 +660,25 @@ class DissimilarityMatrix:
                 )
         if not new_positions:
             return self.copy()
-        inserted = np.zeros(grown, dtype=bool)
-        inserted[np.asarray(new_positions, dtype=np.int64)] = True
-        new_of_old = np.flatnonzero(~inserted)
+        keep = np.ones(grown, dtype=bool)
+        keep[np.asarray(new_positions, dtype=np.int64)] = False
         out_store = self._store.spawn(condensed_size(grown))
-        out = DissimilarityMatrix._adopt(grown, out_store)
-        if self._n >= 2:
-            values = self._store.array_view()
-            out_values = out_store.array_view()
-            if values is not None and out_values is not None:
-                i, j = condensed_pair_indices(self._n)
-                # The map old->new is strictly increasing, so i > j survives
-                # remapping and the condensed slot is direct arithmetic (no
-                # per-pair max/min) -- this runs on every ingest epoch.
-                upper = new_of_old[i]
-                targets = upper * (upper - 1) // 2
-                targets += new_of_old[j]
-                out_values[targets] = values
-            else:
-                for start, stop in self._store.block_ranges():
-                    i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
-                    upper = new_of_old[i]
-                    targets = upper * (upper - 1) // 2
-                    targets += new_of_old[j]
-                    out_store.scatter(targets, self._store.read(start, stop))
-        return out
+        taken = 0
+        for start, stop in out_store.block_ranges():
+            mask = condensed_pair_mask(keep, start, stop)
+            count = int(np.count_nonzero(mask))
+            if count:
+                block = np.zeros(stop - start, dtype=np.float64)
+                block[mask] = self._store.read(taken, taken + count)
+                out_store.write(start, block)
+                taken += count
+        return DissimilarityMatrix._adopt(grown, out_store)
 
     def remove_objects(self, positions: Sequence[int]) -> "DissimilarityMatrix":
         """Shrunk matrix without the given objects (surviving order kept).
 
-        The inverse of :meth:`insert_objects`; the condensed shrink is the
-        :meth:`submatrix` gather over the surviving positions.
+        The inverse of :meth:`insert_objects`: each block keeps the
+        entries :func:`condensed_pair_mask` flags, appended in order.
         """
         positions = list(positions)
         if len(set(positions)) != len(positions):
@@ -772,10 +691,16 @@ class DissimilarityMatrix:
         keep = np.ones(self._n, dtype=bool)
         if positions:
             keep[np.asarray(positions, dtype=np.int64)] = False
-        survivors = np.flatnonzero(keep)
-        if survivors.size == 0:
+        survivors = int(np.count_nonzero(keep))
+        if survivors == 0:
             raise ConfigurationError("cannot remove every object")
-        return self.submatrix(survivors.tolist())
+        fresh = self._store.spawn(condensed_size(survivors))
+        written = 0
+        for start, stop in self._store.block_ranges():
+            kept = self._store.read(start, stop)[condensed_pair_mask(keep, start, stop)]
+            fresh.write(written, kept)
+            written += kept.size
+        return DissimilarityMatrix._adopt(survivors, fresh)
 
     def set_diagonal_block(self, offset: int, local: "DissimilarityMatrix") -> None:
         """Place a (validated) local matrix on the diagonal at ``offset``.
@@ -790,16 +715,8 @@ class DissimilarityMatrix:
                 f"diagonal block [{offset}, {offset + size}) out of range "
                 f"for {self._n} objects"
             )
-        if size < 2:
-            return
-        values = self._store.array_view()
-        local_values = local._store.array_view()
-        if values is not None and local_values is not None:
-            i, j = np.tril_indices(size, -1)
-            values[condensed_position(i + offset, j + offset)] = local_values
-            return
         for start, stop in local._store.block_ranges():
-            i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
+            i, j = condensed_span_indices(start, stop)
             self._store.scatter(
                 condensed_position(i + offset, j + offset),
                 local._store.read(start, stop),
@@ -837,32 +754,18 @@ class DissimilarityMatrix:
         if np.any(tail < 0) or np.any(~np.isfinite(tail)):
             raise ConfigurationError("distances must be non-negative and finite")
         i, j = condensed_tail_indices(old_size, new_size)
-        positions = condensed_position(i + offset, j + offset)
-        values = self._store.array_view()
-        if values is not None:
-            values[positions] = tail
-        else:
-            self._store.scatter(positions, tail)
+        self._store.scatter(condensed_position(i + offset, j + offset), tail)
 
     def copy(self) -> "DissimilarityMatrix":
-        values = self._store.array_view()
-        if values is not None:
-            return DissimilarityMatrix._adopt(
-                self._n, self._store.adopt(values.copy())
-            )
         fresh = self._store.spawn(self._store.size)
-        for start, stop in fresh.block_ranges():
-            fresh.write(start, self._store.read(start, stop))
+        for start, values in self._store.blocks():
+            fresh.write(start, values)
         return DissimilarityMatrix._adopt(self._n, fresh)
 
     def allclose(self, other: "DissimilarityMatrix", atol: float = 1e-9) -> bool:
         """Entry-wise comparison; the zero-accuracy-loss assertions use this."""
         if self._n != other._n:
             return False
-        values = self._store.array_view()
-        other_values = other._store.array_view()
-        if values is not None and other_values is not None:
-            return bool(np.allclose(values, other_values, atol=atol))
         for start, stop in self._store.block_ranges():
             if not np.allclose(
                 self._store.read(start, stop),
@@ -877,10 +780,6 @@ class DissimilarityMatrix:
             return NotImplemented
         if self._n != other._n:
             return False
-        values = self._store.array_view()
-        other_values = other._store.array_view()
-        if values is not None and other_values is not None:
-            return bool(np.array_equal(values, other_values))
         for start, stop in self._store.block_ranges():
             if not np.array_equal(
                 self._store.read(start, stop), other._store.read(start, stop)
@@ -889,12 +788,12 @@ class DissimilarityMatrix:
         return True
 
     def mean_value(self) -> float:
-        """Average pairwise distance (quality reporting)."""
+        """Average pairwise distance (quality reporting).
+
+        Summed per block, so the last bit may depend on the block size.
+        """
         if self._store.size == 0:
             return 0.0
-        values = self._store.array_view()
-        if values is not None:
-            return float(values.mean())
         total = 0.0
         for start, stop in self._store.block_ranges():
             total += float(self._store.read(start, stop).sum())
@@ -914,8 +813,8 @@ class DissimilarityMatrix:
         first violating ``(j, i)`` block returns immediately, so a
         non-metric matrix with an early violation costs O(chunk * n)
         instead of a full O(n^3) sweep over a square copy.  Row gathers
-        go through :func:`condensed_row_gather`, which streams on store
-        backends, so the bound holds there too.
+        go through :func:`condensed_row_gather`, so the bound holds on
+        every backend.
         """
         n = self._n
         if n < 3:
@@ -927,16 +826,12 @@ class DissimilarityMatrix:
         scratch = np.empty(n, dtype=np.int64)
         rows_j = np.empty((chunk_rows, n), dtype=np.float64)
         rows_i = np.empty((chunk_rows, n), dtype=np.float64)
-        values = self._store.array_view()
-        source: np.ndarray | CondensedStore = (
-            values if values is not None else self._store
-        )
         for j_start in range(0, n, chunk_rows):
             j_stop = min(n, j_start + chunk_rows)
             block_j = rows_j[: j_stop - j_start]
             for offset, j in enumerate(range(j_start, j_stop)):
                 condensed_row_gather(
-                    source, j, n, offsets, out=block_j[offset], scratch=scratch
+                    self._store, j, n, offsets, out=block_j[offset], scratch=scratch
                 )
             for i_start in range(0, n, chunk_rows):
                 i_stop = min(n, i_start + chunk_rows)
@@ -946,7 +841,12 @@ class DissimilarityMatrix:
                     block_i = rows_i[: i_stop - i_start]
                     for offset, i in enumerate(range(i_start, i_stop)):
                         condensed_row_gather(
-                            source, i, n, offsets, out=block_i[offset], scratch=scratch
+                            self._store,
+                            i,
+                            n,
+                            offsets,
+                            out=block_i[offset],
+                            scratch=scratch,
                         )
                 for offset in range(j_stop - j_start):
                     via_j = (

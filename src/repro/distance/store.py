@@ -7,19 +7,18 @@ resident float64 array caps the reachable scale at what RAM affords --
 ~40 GB at n = 10^5 -- so this module splits the storage *policy* away
 from the matrix *semantics*:
 
-* :class:`InMemoryStore` -- the seed representation, one float64 array.
-  The default, and bit-identical to the pre-backend code: the matrix
-  layer short-circuits through :meth:`CondensedStore.array_view` so the
-  exact historical numpy expressions run on the exact same array.
-* :class:`Float32Store` -- same shape, half the bytes.  Storage
-  precision only: every read upcasts to float64, every write rounds to
-  float32, so consumers always compute in float64 and the *stored*
-  rounding is the single documented source of divergence.
+* :class:`InMemoryStore` -- one resident float64 array, the default.
 * :class:`MemmapStore` -- fixed-size row-block shard files under a
   session directory, memory-mapped on demand through an LRU cache with
   a configurable byte budget and dirty-block writeback.  Evicting a
   block unmaps it, so peak RSS tracks the cache budget plus the
   caller's working buffers, not the triangle size.
+
+Both backends expose the same block structure (``block_entries``) and
+the matrix layer has exactly one implementation of every operation,
+written against ``read``/``write``/``gather``/``scatter`` in
+:meth:`CondensedStore.block_ranges`-sized spans.  Every result is
+therefore bit-identical across backends *and* across block sizes.
 
 Every store speaks float64 at the interface: ``read``/``gather`` return
 fresh float64 arrays (never views into a shard -- eviction unmaps the
@@ -30,12 +29,11 @@ condensed vector, which keeps whole-row reads (one contiguous segment
 below the diagonal) single-shard-friendly.
 
 Backend selection is a :class:`StoreSpec`, resolved by default from the
-environment (``REPRO_STORE_BACKEND`` = ``memory`` | ``float32`` |
-``memmap``, plus ``REPRO_STORE_BLOCK_ENTRIES`` /
-``REPRO_STORE_CACHE_BYTES`` / ``REPRO_STORE_DIR``) so whole test suites
-and spawned party processes can be re-pointed at a backend without code
-changes; explicit specs flow through
-:class:`~repro.core.config.ProtocolSuiteConfig`.
+environment (``REPRO_STORE_BACKEND`` = ``memory`` | ``memmap``, plus
+``REPRO_STORE_BLOCK_ENTRIES`` / ``REPRO_STORE_CACHE_BYTES`` /
+``REPRO_STORE_DIR``) so whole test suites and spawned party processes
+can be re-pointed at a backend without code changes; explicit specs
+flow through :class:`~repro.core.config.ProtocolSuiteConfig`.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ ENV_BLOCK_ENTRIES = "REPRO_STORE_BLOCK_ENTRIES"
 ENV_CACHE_BYTES = "REPRO_STORE_CACHE_BYTES"
 ENV_DIRECTORY = "REPRO_STORE_DIR"
 
-_BACKENDS = ("memory", "float32", "memmap")
+_BACKENDS = ("memory", "memmap")
 
 #: Name of the per-store metadata file that makes a shard directory
 #: self-describing (reopenable without the creating process).
@@ -78,10 +76,11 @@ _META_FORMAT = 1
 class StoreSpec:
     """How to materialise a condensed vector: backend plus its knobs.
 
-    ``block_entries``/``cache_bytes`` only shape the memmap backend (and
-    the streaming granularity of generic block-wise code); ``directory``
-    is the *base* under which each memmap store creates its own unique
-    shard directory (``None`` means the system temp dir).
+    ``block_entries`` is the streaming granularity of both backends (and
+    the shard size of the memmap one); ``cache_bytes`` only shapes the
+    memmap backend; ``directory`` is the *base* under which each memmap
+    store creates its own unique shard directory (``None`` means the
+    system temp dir).
     """
 
     backend: str = "memory"
@@ -107,10 +106,10 @@ class StoreSpec:
 def default_store_spec() -> StoreSpec:
     """The process-wide default spec, resolved from the environment.
 
-    Unset or empty variables fall back to the in-memory float64 backend
-    with the module defaults -- exactly the pre-backend behaviour -- so
-    the environment is a pure opt-in override (the ``storage-matrix`` CI
-    job and spawned party processes use it to re-point whole runs).
+    Unset or empty variables fall back to the in-memory backend with the
+    module defaults, so the environment is a pure opt-in override (the
+    ``storage-matrix`` CI job and spawned party processes use it to
+    re-point whole runs).
     """
     backend = os.environ.get(ENV_BACKEND, "").strip() or "memory"
     spec_kwargs: dict[str, object] = {"backend": backend}
@@ -144,17 +143,16 @@ def open_store(
     store: CondensedStore
     if spec.backend == "memory":
         if values is not None:
-            return InMemoryStore(np.asarray(values, dtype=np.float64))
-        return InMemoryStore(np.zeros(size, dtype=np.float64))
-    if spec.backend == "float32":
-        store = Float32Store(size, block_entries=spec.block_entries)
-    else:
-        store = MemmapStore.create(
-            size,
-            block_entries=spec.block_entries,
-            cache_bytes=spec.cache_bytes,
-            base_directory=spec.directory,
+            return InMemoryStore(values, block_entries=spec.block_entries)
+        return InMemoryStore(
+            np.zeros(size, dtype=np.float64), block_entries=spec.block_entries
         )
+    store = MemmapStore.create(
+        size,
+        block_entries=spec.block_entries,
+        cache_bytes=spec.cache_bytes,
+        base_directory=spec.directory,
+    )
     if values is not None:
         values = np.asarray(values, dtype=np.float64)
         for start, stop in store.block_ranges():
@@ -166,11 +164,9 @@ class CondensedStore(ABC):
     """Storage backend for one condensed vector.
 
     The contract every :class:`~repro.distance.dissimilarity.DissimilarityMatrix`
-    operation is written against: the matrix layer asks for
-    :meth:`array_view` first and, when it gets an ndarray, runs the
-    historical in-memory code verbatim (bit-identical default); when it
-    gets ``None``, it streams through ``read``/``write``/``gather``/
-    ``scatter`` in :meth:`block_ranges`-sized spans.
+    operation is written against: it streams through ``read``/``write``/
+    ``gather``/``scatter`` in :meth:`block_ranges`-sized spans, whatever
+    the backend.
     """
 
     #: Backend name, matching :class:`StoreSpec.backend`.
@@ -186,17 +182,10 @@ class CondensedStore(ABC):
     def block_entries(self) -> int:
         """Streaming granularity (entries per block)."""
 
-    def array_view(self) -> np.ndarray | None:
-        """The backing float64 ndarray, or ``None`` for sharded backends.
-
-        Non-``None`` means the array *is* the storage (writes through the
-        view are writes to the store) -- the in-memory fast path.
-        """
-        return None
-
     @abstractmethod
-    def read(self, start: int, stop: int) -> np.ndarray:
-        """Entries ``[start, stop)`` as a fresh float64 array."""
+    def read(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Entries ``[start, stop)`` as a fresh float64 array, or written
+        into ``out`` (length ``stop - start``) and returned."""
 
     @abstractmethod
     def write(self, start: int, values: np.ndarray) -> None:
@@ -233,8 +222,7 @@ class CondensedStore(ABC):
     def adopt(self, values: np.ndarray) -> "CondensedStore":
         """Sibling store holding ``values`` (float64, fully materialised).
 
-        The in-memory backend overrides this to wrap without copying --
-        preserving the historical constructor's aliasing semantics --
+        The in-memory backend overrides this to wrap without copying,
         while sharded backends stream the array in.
         """
         values = np.asarray(values, dtype=np.float64)
@@ -255,20 +243,32 @@ class CondensedStore(ABC):
         for start in range(0, self.size, step):
             yield start, min(self.size, start + step)
 
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, values)`` for each block in order, for reading only.
+
+        ``values`` is read-only and valid until the iteration advances (it
+        may be the store's own memory or one buffer reused per block).
+        """
+        buffer = np.empty(min(self.block_entries, self.size), dtype=np.float64)
+        for start, stop in self.block_ranges():
+            values = self.read(start, stop, out=buffer[: stop - start]).view()
+            values.flags.writeable = False
+            yield start, values
+
 
 class InMemoryStore(CondensedStore):
-    """The seed representation: one resident float64 array.
+    """One resident float64 array, streamed in ``block_entries`` spans.
 
-    :meth:`array_view` hands the backing array out directly, so matrix
-    code that takes the dense fast path is byte-for-byte the pre-backend
-    implementation (including its aliasing: constructing from an
-    existing float64 array wraps it, never copies).
+    Constructing from an existing float64 array wraps it, never copies.
     """
 
     kind = "memory"
 
-    def __init__(self, values: np.ndarray) -> None:
+    def __init__(
+        self, values: np.ndarray, block_entries: int = DEFAULT_BLOCK_ENTRIES
+    ) -> None:
         self._values = np.asarray(values, dtype=np.float64)
+        self._block_entries = int(block_entries)
 
     @property
     def size(self) -> int:
@@ -276,13 +276,13 @@ class InMemoryStore(CondensedStore):
 
     @property
     def block_entries(self) -> int:
-        return DEFAULT_BLOCK_ENTRIES
+        return self._block_entries
 
-    def array_view(self) -> np.ndarray:
-        return self._values
-
-    def read(self, start: int, stop: int) -> np.ndarray:
-        return self._values[start:stop].copy()
+    def read(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return self._values[start:stop].copy()
+        out[...] = self._values[start:stop]
+        return out
 
     def write(self, start: int, values: np.ndarray) -> None:
         self._values[start : start + len(values)] = values
@@ -296,69 +296,25 @@ class InMemoryStore(CondensedStore):
     def scatter(self, positions: np.ndarray, values: np.ndarray) -> None:
         self._values[positions] = values
 
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        resident = self._values.view()
+        resident.flags.writeable = False
+        for start, stop in self.block_ranges():
+            yield start, resident[start:stop]
+
     def spawn(
         self,
         size: int,
         block_entries: int | None = None,
         cache_bytes: int | None = None,
     ) -> "InMemoryStore":
-        return InMemoryStore(np.zeros(size, dtype=np.float64))
+        return InMemoryStore(
+            np.zeros(size, dtype=np.float64),
+            block_entries=block_entries or self._block_entries,
+        )
 
     def adopt(self, values: np.ndarray) -> "InMemoryStore":
-        return InMemoryStore(np.asarray(values, dtype=np.float64))
-
-
-class Float32Store(CondensedStore):
-    """Half-width storage: float32 at rest, float64 at the interface.
-
-    The only divergence from the reference backend is the
-    round-to-nearest float32 quantisation applied at *write* time; reads
-    upcast exactly (every float32 is exactly representable in float64),
-    so all downstream arithmetic stays float64 and the error budget is
-    one rounding per stored value, not per operation.
-    """
-
-    kind = "float32"
-
-    def __init__(self, size: int, block_entries: int = DEFAULT_BLOCK_ENTRIES) -> None:
-        self._values = np.zeros(size, dtype=np.float32)
-        self._block_entries = int(block_entries)
-
-    @property
-    def size(self) -> int:
-        return int(self._values.size)
-
-    @property
-    def block_entries(self) -> int:
-        return self._block_entries
-
-    def read(self, start: int, stop: int) -> np.ndarray:
-        return self._values[start:stop].astype(np.float64)
-
-    def write(self, start: int, values: np.ndarray) -> None:
-        self._values[start : start + len(values)] = np.asarray(
-            values, dtype=np.float32
-        )
-
-    def gather(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        taken = self._values[positions]
-        if out is not None:
-            out[...] = taken
-            return out
-        return taken.astype(np.float64)
-
-    def scatter(self, positions: np.ndarray, values: np.ndarray) -> None:
-        self._values[positions] = np.asarray(values, dtype=np.float32)
-
-    def spawn(
-        self,
-        size: int,
-        block_entries: int | None = None,
-        cache_bytes: int | None = None,
-    ) -> "Float32Store":
-        return Float32Store(
-            size, block_entries=block_entries or self._block_entries
-        )
+        return InMemoryStore(values, block_entries=self._block_entries)
 
 
 def _cleanup_shards(
@@ -475,13 +431,25 @@ class MemmapStore(CondensedStore):
             raise ConfigurationError(
                 f"not a condensed shard directory ({meta_path}): {exc}"
             ) from exc
+        if not isinstance(meta, dict):
+            raise ConfigurationError(
+                f"{meta_path} must hold a JSON object, got {type(meta).__name__}"
+            )
         if meta.get("format") != _META_FORMAT:
             raise ConfigurationError(
                 f"unsupported shard format {meta.get('format')!r} in {directory}"
             )
+        for key, minimum in (("size", 0), ("block_entries", 1)):
+            value = meta.get(key)
+            # bool is an int subclass, but never a valid count here.
+            if type(value) is not int or value < minimum:
+                raise ConfigurationError(
+                    f"{meta_path}: {key!r} must be an integer >= {minimum}, "
+                    f"got {value!r}"
+                )
         return cls(
-            int(meta["size"]),
-            block_entries=int(meta["block_entries"]),
+            meta["size"],
+            block_entries=meta["block_entries"],
             cache_bytes=cache_bytes,
             directory=directory,
             base_directory=os.path.dirname(directory) or None,
@@ -559,8 +527,9 @@ class MemmapStore(CondensedStore):
 
     # -- CondensedStore interface ------------------------------------------
 
-    def read(self, start: int, stop: int) -> np.ndarray:
-        out = np.empty(stop - start, dtype=np.float64)
+    def read(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(stop - start, dtype=np.float64)
         with self._lock:
             position = start
             while position < stop:
@@ -672,9 +641,7 @@ def spec_of(store: CondensedStore) -> StoreSpec:
             cache_bytes=store._cache_bytes,
             directory=store._base_directory,
         )
-    if isinstance(store, Float32Store):
-        return StoreSpec(backend="float32", block_entries=store.block_entries)
-    return StoreSpec(backend="memory")
+    return StoreSpec(backend="memory", block_entries=store.block_entries)
 
 
 def with_backend(spec: StoreSpec, backend: str) -> StoreSpec:

@@ -112,6 +112,21 @@ def parse_address(address: str) -> tuple[str, str, int]:
     )
 
 
+class _DrainingReader(asyncio.StreamReader):
+    """A stream reader that hands out the bytes it holds before it reports
+    a broken connection.
+
+    asyncio's own reader raises a connection error (reset, broken pipe)
+    from the next read even while it still buffers whole frames -- frames
+    the peer really sent, typically its last ones before it died.  Here
+    the error only ends the stream: reads drain the buffer, then raise
+    :class:`asyncio.IncompleteReadError` as on a clean end of stream.
+    """
+
+    def set_exception(self, exc: BaseException) -> None:
+        self.feed_eof()
+
+
 class _Peer:
     """Local view of one remote party (loop-thread state).
 
@@ -302,15 +317,19 @@ class SocketTransport(Transport):
 
     async def _start_async(self) -> None:
         scheme, host, port = parse_address(self._addresses[self._local])
+
+        def protocol() -> asyncio.StreamReaderProtocol:
+            return asyncio.StreamReaderProtocol(
+                _DrainingReader(), self._serve_connection
+            )
+
         if scheme == "unix":
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(host)
-            self._server = await asyncio.start_unix_server(
-                self._serve_connection, path=host
-            )
+            self._server = await self._loop.create_unix_server(protocol, path=host)
         else:
-            self._server = await asyncio.start_server(
-                self._serve_connection, host=host, port=port
+            self._server = await self._loop.create_server(
+                protocol, host=host, port=port
             )
         for name in sorted(self._peers):
             peer = self._peers[name]
@@ -334,9 +353,17 @@ class SocketTransport(Transport):
         self, address: str
     ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         scheme, host, port = parse_address(address)
+        reader = _DrainingReader()
+        protocol = asyncio.StreamReaderProtocol(reader)
         if scheme == "unix":
-            return await asyncio.open_unix_connection(host)
-        return await asyncio.open_connection(host, port)
+            transport, _ = await self._loop.create_unix_connection(
+                lambda: protocol, host
+            )
+        else:
+            transport, _ = await self._loop.create_connection(
+                lambda: protocol, host, port
+            )
+        return reader, asyncio.StreamWriter(transport, protocol, reader, self._loop)
 
     async def _dial_loop(self, peer: _Peer) -> None:
         attempt = 0
@@ -561,24 +588,42 @@ class SocketTransport(Transport):
     ) -> None:
         with self._cond:
             era = self._era
-            expected = peer.delivered
+            resetting = self._pending_reset is not None
         if frame.era < era:
             return  # stale era: the sender will reset and re-send
-        if frame.era > era:
+        if frame.era > era or resetting:
+            # A frame of the pending era must wait for begin_era(): the
+            # link's delivered count and cipher still belong to the void
+            # era, and begin_era() clears the inbox.
             peer.parked.append(frame)
             return
+        if not self._deliver_next(peer, frame):
+            return
+        if writer is not None:
+            with self._cond:
+                delivered = peer.delivered
+            # A peer that died right after sending cannot take the ack;
+            # keep reading, since the frames it sent before dying are
+            # still buffered on this connection.
+            with contextlib.suppress(OSError, ConnectionError):
+                await self._send_control(writer, hs.ack_frame(delivered, era))
+
+    def _deliver_next(self, peer: _Peer, frame: hs.DataFrame) -> bool:
+        """Deliver ``frame`` if it is the next of its link's stream.
+
+        ``False`` for a replayed duplicate (already delivered, never
+        re-opened); a sequence gap raises :class:`ChannelError`.
+        """
+        expected = peer.delivered
         if frame.seq < expected:
-            return  # replayed duplicate; already delivered, never re-open
+            return False
         if frame.seq > expected:
             raise ChannelError(
                 f"connection from {peer.name!r} desynchronised: data frame "
                 f"seq {frame.seq} arrived while {expected} was expected"
             )
         self._deliver(peer, frame)
-        if writer is not None:
-            with self._cond:
-                delivered = peer.delivered
-            await self._send_control(writer, hs.ack_frame(delivered, era))
+        return True
 
     def _deliver(self, peer: _Peer, frame: hs.DataFrame) -> None:
         cipher = peer.cipher
@@ -868,13 +913,20 @@ class SocketTransport(Transport):
                     )
             self._cond.notify_all()
         self.advance_cipher_positions(positions)
+        # Deliver every parked frame before the first await, so a frame
+        # read off a connection meanwhile cannot overtake a parked one.
+        acks = []
         for name in sorted(self._peers):
             peer = self._peers[name]
             parked, peer.parked = peer.parked, []
             for frame in parked:
-                if frame.era != era:
-                    continue
-                await self._process_data(peer, frame, peer.writer)
+                if frame.era == era:
+                    self._deliver_next(peer, frame)
+            if peer.delivered and peer.writer is not None:
+                acks.append((peer.writer, peer.delivered))
+        for writer, delivered in acks:
+            with contextlib.suppress(OSError, ConnectionError):
+                await self._send_control(writer, hs.ack_frame(delivered, era))
 
     def advance_cipher_positions(self, positions: Mapping[str, int]) -> None:
         """Fast-forward link nonce streams to checkpointed positions.

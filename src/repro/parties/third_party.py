@@ -98,13 +98,20 @@ class ThirdParty(Party):
         """Re-home a protocol-built matrix onto the session's backend.
 
         The categorical/taxonomy constructors build plain matrices; when
-        the session runs sharded storage, their outputs are converted on
-        publication so every attribute matrix lives on one backend.
+        the session's storage differs (backend or block size), their
+        outputs are converted on publication so every attribute matrix
+        lives on one backend with one block size.
         """
-        if matrix.store_kind == self._store_spec.backend:
+        store = matrix.store
+        if (store.kind, store.block_entries) == (
+            self._store_spec.backend,
+            self._store_spec.block_entries,
+        ):
             return matrix
         return DissimilarityMatrix(
-            matrix.num_objects, matrix.condensed, store_spec=self._store_spec
+            matrix.num_objects,
+            matrix.read_condensed(0, store.size),
+            store_spec=self._store_spec,
         )
 
     def _spec(self, attribute: str) -> AttributeSpec:

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy.cluster.hierarchy import cophenet, linkage as scipy_linkage
 
-from repro.clustering import quality
-from repro.clustering.kmedoids import _build_init, k_medoids
+from repro.clustering import kmedoids, quality
+from repro.clustering.kmedoids import _build_init, _Panels, k_medoids
 from repro.clustering.linkage import agglomerative
 from repro.clustering.reference import (
     _build_init as reference_build_init,
@@ -129,6 +129,24 @@ class TestKMedoidsEquivalence:
         assert fast.converged == ref.converged
         assert fast.cost == pytest.approx(ref.cost, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multi_panel_results_identical(self, seed, monkeypatch):
+        """Candidate blocks far below n send BUILD and SWAP through many
+        panels, each with an in-band mirror and a gathered tail (the
+        default block covers every test-sized matrix in one panel)."""
+        monkeypatch.setattr(kmedoids, "_CANDIDATE_BLOCK", 7)
+        matrix = random_matrix(45, seed + 300)
+        fast = k_medoids(matrix, 5)
+        ref = reference_k_medoids(matrix, 5)
+        assert (fast.labels, fast.medoids, fast.iterations) == (
+            ref.labels,
+            ref.medoids,
+            ref.iterations,
+        )
+        assert _build_init(_Panels(matrix), 6) == reference_build_init(
+            matrix.to_square(), 6
+        )
+
     def test_tied_matrix_identical(self):
         matrix = tied_matrix(30, 3)
         fast = k_medoids(matrix, 4)
@@ -141,8 +159,10 @@ class TestKMedoidsEquivalence:
         (its own satellite assertion: no ``candidate in medoids`` list
         scan, one numpy gain computation per added medoid)."""
         for seed in range(8):
-            square = random_matrix(25, seed + 200).to_square()
-            assert _build_init(square, k) == reference_build_init(square, k)
+            matrix = random_matrix(25, seed + 200)
+            assert _build_init(_Panels(matrix), k) == reference_build_init(
+                matrix.to_square(), k
+            )
 
     def test_k_equals_n_and_k_one(self):
         matrix = random_matrix(12, 9)

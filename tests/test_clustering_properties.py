@@ -31,6 +31,7 @@ from repro.distance.dissimilarity import (
     condensed_row_scatter,
     same_label_mask,
 )
+from repro.distance.store import InMemoryStore
 from repro.types import LinkageMethod
 
 METHODS = list(LinkageMethod)
@@ -152,7 +153,7 @@ class TestCondensedPrimitives:
         np.fill_diagonal(square, np.inf)
         flat = int(np.argmin(square))
         expected = divmod(flat, n)
-        i, j = condensed_argmin(np.asarray(matrix.condensed), n)
+        i, j = condensed_argmin(InMemoryStore(matrix.condensed), n)
         assert (min(i, j), max(i, j)) == (
             min(expected),
             max(expected),
@@ -162,7 +163,7 @@ class TestCondensedPrimitives:
     @settings(max_examples=25, deadline=None)
     def test_row_gather_scatter_roundtrip(self, seed, n):
         matrix = random_matrix(n, seed, None)
-        values = np.array(matrix.condensed)
+        values = InMemoryStore(np.array(matrix.condensed))
         square = matrix.to_square()
         index = seed % n
         row = condensed_row_gather(values, index, n)

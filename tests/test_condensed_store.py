@@ -3,10 +3,9 @@
 Every :class:`~repro.distance.store.CondensedStore` backend must behave
 identically through the store contract and through every
 :class:`~repro.distance.dissimilarity.DissimilarityMatrix` operation:
-the float64 backends (``memory``, ``memmap``) bit-identically, the
-``float32`` backend up to one rounding per stored value.  The harness
-runs every public operation on a backend under test and on the
-in-memory reference simultaneously and compares results -- plus a
+bit-identically, whatever their block size.  The harness runs every
+public operation on a backend under test (with tiny blocks) and on the
+default in-memory reference simultaneously and compares results -- plus a
 Hypothesis property that drives random operation *sequences* through
 both, so cross-operation interactions (grow, shrink, overwrite, rescale)
 are covered, not just single calls.
@@ -30,14 +29,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distance.dissimilarity import DissimilarityMatrix, condensed_size
+from repro.clustering.kmedoids import k_medoids
+from repro.clustering.linkage import agglomerative
+from repro.clustering.quality import average_square_distance
+from repro.distance.dissimilarity import (
+    DissimilarityMatrix,
+    condensed_has_duplicates,
+    condensed_pair_mask,
+    condensed_size,
+    condensed_span_indices,
+)
 from repro.distance.store import (
     DEFAULT_BLOCK_ENTRIES,
     ENV_BACKEND,
     ENV_BLOCK_ENTRIES,
     ENV_CACHE_BYTES,
     ENV_DIRECTORY,
-    Float32Store,
     InMemoryStore,
     MemmapStore,
     StoreSpec,
@@ -47,8 +54,9 @@ from repro.distance.store import (
     with_backend,
 )
 from repro.exceptions import ConfigurationError
+from repro.types import LinkageMethod
 
-BACKENDS = ("memory", "float32", "memmap")
+BACKENDS = ("memory", "memmap")
 
 #: Tiny blocks so every conformance case crosses shard boundaries, and a
 #: cache of four blocks so eviction/writeback runs constantly.
@@ -60,13 +68,6 @@ def small_spec(backend: str) -> StoreSpec:
     return StoreSpec(
         backend=backend, block_entries=SMALL_BLOCK, cache_bytes=SMALL_CACHE
     )
-
-
-def stored_precision(backend: str, values: np.ndarray) -> np.ndarray:
-    """What a backend is allowed to hand back for stored ``values``."""
-    if backend == "float32":
-        return values.astype(np.float32).astype(np.float64)
-    return values
 
 
 def fill_values(size: int, seed: int = 7) -> np.ndarray:
@@ -83,7 +84,7 @@ class TestStoreContract:
         size = 5 * SMALL_BLOCK + 11
         values = fill_values(size)
         store = open_store(small_spec(backend), size, values)
-        expected = stored_precision(backend, values)
+        expected = values
         # Whole-store, single-block, and straddling reads all agree.
         np.testing.assert_array_equal(store.read(0, size), expected)
         np.testing.assert_array_equal(
@@ -91,6 +92,11 @@ class TestStoreContract:
             expected[SMALL_BLOCK - 5 : 3 * SMALL_BLOCK + 7],
         )
         assert store.read(17, 17).shape == (0,)
+        out = np.empty(2 * SMALL_BLOCK + 3)
+        assert store.read(SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 4, out=out) is out
+        np.testing.assert_array_equal(
+            out, expected[SMALL_BLOCK + 1 : 3 * SMALL_BLOCK + 4]
+        )
         store.close()
 
     def test_write_then_read_spans(self, backend):
@@ -101,9 +107,7 @@ class TestStoreContract:
         store.write(SMALL_BLOCK - 4, patch)
         expected = np.zeros(size)
         expected[SMALL_BLOCK - 4 : SMALL_BLOCK - 4 + patch.size] = patch
-        np.testing.assert_array_equal(
-            store.read(0, size), stored_precision(backend, expected)
-        )
+        np.testing.assert_array_equal(store.read(0, size), expected)
         store.close()
 
     def test_gather_scatter_unsorted_positions(self, backend):
@@ -114,7 +118,7 @@ class TestStoreContract:
         # Unsorted, block-hopping, with repeats: the access pattern the
         # NN-chain tail gathers produce.
         positions = rng.integers(0, size, size=4 * SMALL_BLOCK, dtype=np.int64)
-        expected = stored_precision(backend, values)[positions]
+        expected = values[positions]
         np.testing.assert_array_equal(store.gather(positions), expected)
         out = np.empty(positions.size, dtype=np.float64)
         result = store.gather(positions, out=out)
@@ -125,9 +129,7 @@ class TestStoreContract:
         replacement = fill_values(unique.size, seed=13)
         store.scatter(unique, replacement)
         values[unique] = replacement
-        np.testing.assert_array_equal(
-            store.read(0, size), stored_precision(backend, values)
-        )
+        np.testing.assert_array_equal(store.read(0, size), values)
         store.close()
 
     def test_spawn_is_zeroed_sibling(self, backend):
@@ -147,9 +149,7 @@ class TestStoreContract:
         values = fill_values(2 * SMALL_BLOCK + 3, seed=17)
         adopted = store.adopt(values)
         assert adopted.kind == store.kind
-        np.testing.assert_array_equal(
-            adopted.read(0, adopted.size), stored_precision(backend, values)
-        )
+        np.testing.assert_array_equal(adopted.read(0, adopted.size), values)
         adopted.close()
         store.close()
 
@@ -162,17 +162,31 @@ class TestStoreContract:
             assert start == prev_stop and start < stop
         store.close()
 
-    def test_array_view_contract(self, backend):
-        values = fill_values(2 * SMALL_BLOCK)
+    def test_blocks_stream_read_only_block_reads(self, backend):
+        size = 3 * SMALL_BLOCK + 7
+        values = fill_values(size, seed=19)
+        store = open_store(small_spec(backend), size, values)
+        spans = list(store.block_ranges())
+        count = 0
+        for (start, block), (span_start, span_stop) in zip(store.blocks(), spans):
+            assert start == span_start
+            assert not block.flags.writeable
+            np.testing.assert_array_equal(block, values[span_start:span_stop])
+            count += 1
+        assert count == len(spans)
+        assert list(store.spawn(0).blocks()) == []
+        store.close()
+
+    def test_duplicate_scan_crosses_blocks(self, backend):
+        """A tie between two blocks is found whether the scan sorts all
+        values as one group or hash-partitions them into several."""
+        values = np.arange(1.0, 5.0 * SMALL_BLOCK)
         store = open_store(small_spec(backend), values.size, values)
-        view = store.array_view()
-        if backend == "memory":
-            # The view IS the storage: writes through it are visible.
-            assert view is not None
-            view[3] = 42.0
-            assert store.read(3, 4)[0] == 42.0
-        else:
-            assert view is None
+        for budget in (1 << 20, SMALL_BLOCK * 8):
+            assert not condensed_has_duplicates(store, budget_bytes=budget)
+        store.write(4 * SMALL_BLOCK, values[3:4])
+        for budget in (1 << 20, SMALL_BLOCK * 8):
+            assert condensed_has_duplicates(store, budget_bytes=budget)
         store.close()
 
     def test_spec_roundtrip(self, backend):
@@ -180,8 +194,9 @@ class TestStoreContract:
         store = open_store(spec, SMALL_BLOCK)
         recovered = spec_of(store)
         assert recovered.backend == backend
-        if backend != "memory":  # the RAM backend has no knobs to carry
-            assert recovered.block_entries == SMALL_BLOCK
+        assert recovered.block_entries == SMALL_BLOCK
+        assert store.spawn(3).block_entries == SMALL_BLOCK
+        assert store.adopt(np.zeros(3)).block_entries == SMALL_BLOCK
         assert with_backend(recovered, "memory").backend == "memory"
         store.close()
 
@@ -203,14 +218,9 @@ def matrix_pair(n: int, backend: str, seed: int = 23):
 
 
 def assert_matches(backend: str, matrix: DissimilarityMatrix, reference: DissimilarityMatrix):
-    """Backend matrix equals the in-memory reference (exactly for the
-    float64 backends, to float32 precision otherwise)."""
+    """Backend matrix equals the default in-memory reference exactly."""
     assert matrix.num_objects == reference.num_objects
-    got, want = matrix.condensed, reference.condensed
-    if backend == "float32":
-        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
-    else:
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(matrix.condensed, reference.condensed)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -219,7 +229,7 @@ class TestMatrixConformance:
         n = 30
         reference, matrix = matrix_pair(n, backend)
         assert matrix.store_kind == backend
-        expected = stored_precision(backend, reference.condensed)
+        expected = reference.condensed
         np.testing.assert_array_equal(matrix.condensed, expected)
         np.testing.assert_array_equal(
             matrix.to_square(), DissimilarityMatrix(n, expected).to_square()
@@ -236,7 +246,7 @@ class TestMatrixConformance:
     def test_scalar_reductions(self, backend):
         n = 30
         reference, matrix = matrix_pair(n, backend)
-        expected = DissimilarityMatrix(n, stored_precision(backend, reference.condensed))
+        expected = DissimilarityMatrix(n, reference.condensed)
         assert matrix.max_value() == expected.max_value()
         assert matrix.mean_value() == pytest.approx(expected.mean_value(), rel=1e-12)
 
@@ -245,7 +255,7 @@ class TestMatrixConformance:
         reference, matrix = matrix_pair(n, backend)
         for target in (reference, matrix):
             target[4, 11] = 3.25
-            block = np.arange(1.0, 13.0).reshape(3, 4) / 8.0  # f32-exact
+            block = np.arange(1.0, 13.0).reshape(3, 4) / 8.0
             target.set_block([0, 7, 19], [2, 5, 9, 23], block)
         np.testing.assert_array_equal(
             matrix.cross_block([0, 7, 19], [2, 5, 9, 23]),
@@ -279,6 +289,27 @@ class TestMatrixConformance:
             backend,
             matrix.insert_objects(positions),
             reference.insert_objects(positions),
+        )
+
+    def test_grow_and_shrink_follow_the_square(self, backend):
+        """insert_objects/remove_objects against the square-matrix
+        definition, independent of the condensed remap under test."""
+        n = 23
+        reference, matrix = matrix_pair(n, backend)
+        square = reference.to_square()
+        positions = [0, 6, 7, 24, 25]  # grown frame, ascending
+        expected = square
+        for p in positions:
+            expected = np.insert(np.insert(expected, p, 0.0, axis=0), p, 0.0, axis=1)
+        grown = matrix.insert_objects(positions)
+        np.testing.assert_array_equal(grown.to_square(), expected)
+        drop = [0, 1, 12, 22]
+        np.testing.assert_array_equal(
+            matrix.remove_objects(drop).to_square(),
+            np.delete(np.delete(square, drop, axis=0), drop, axis=1),
+        )
+        np.testing.assert_array_equal(
+            grown.remove_objects(positions).condensed, matrix.condensed
         )
 
     def test_diagonal_blocks(self, backend):
@@ -324,6 +355,83 @@ class TestMatrixConformance:
             matrix.write_condensed(0, np.array([-1.0]))
 
 
+@pytest.mark.parametrize("pattern", ["all", "none", "alternate", "random"])
+def test_pair_mask_matches_pair_indices(pattern):
+    n = 41
+    keep = {
+        "all": np.ones(n, dtype=bool),
+        "none": np.zeros(n, dtype=bool),
+        "alternate": np.arange(n) % 2 == 0,
+        "random": np.random.default_rng(3).random(n) < 0.6,
+    }[pattern]
+    size = condensed_size(n)
+    spans = [(0, size), (0, 0), (5, 6), (7, 300), (size - 50, size)]
+    spans += [(start, min(size, start + 7)) for start in range(0, size, 7)]
+    for start, stop in spans:
+        i, j = condensed_span_indices(start, stop)
+        np.testing.assert_array_equal(
+            condensed_pair_mask(keep, start, stop), keep[i] & keep[j]
+        )
+
+
+# -- block-size invariance ---------------------------------------------------
+
+
+def _block_sweep_matrix(n: int, block_entries: int, tied: bool) -> DissimilarityMatrix:
+    values = fill_values(condensed_size(n), seed=41)
+    if tied:
+        values = np.ceil(values)  # ten levels: many exact ties
+    spec = StoreSpec(backend="memory", block_entries=block_entries)
+    return DissimilarityMatrix(n, values, store_spec=spec)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
+def test_memory_results_do_not_depend_on_block_size(tied):
+    """The memory backend streams in ``StoreSpec.block_entries`` spans, so
+    a 7-entry block crosses row boundaries everywhere at test scale; every
+    result must still be bit-identical to the default single-block run."""
+    n = 37
+    small = _block_sweep_matrix(n, 7, tied)
+    default = _block_sweep_matrix(n, DEFAULT_BLOCK_ENTRIES, tied)
+    assert small.store.block_entries == 7
+    assert len(list(small.store.block_ranges())) > n
+
+    # Matrix operations, and the block size they hand down.
+    assert small == default
+    for derive in (
+        lambda m: m.normalized(),
+        lambda m: m.copy(),
+        lambda m: m.submatrix([30, 2, 17, 5, 11, 36]),
+        lambda m: m.insert_objects([0, 9, 38]),
+        lambda m: m.remove_objects([1, 20, 35]),
+    ):
+        derived_small, derived_default = derive(small), derive(default)
+        assert derived_small.store.block_entries == 7
+        np.testing.assert_array_equal(
+            derived_small.condensed, derived_default.condensed
+        )
+    np.testing.assert_array_equal(small.to_square(), default.to_square())
+    assert small.max_value() == default.max_value()
+    assert small.check_triangle_inequality() == default.check_triangle_inequality()
+
+    # Clustering and the published quality statistic.
+    for method in LinkageMethod:
+        assert (
+            agglomerative(small, method).merges
+            == agglomerative(default, method).merges
+        ), method
+    pam_small, pam_default = k_medoids(small, 4), k_medoids(default, 4)
+    assert (pam_small.medoids, pam_small.labels, pam_small.cost) == (
+        pam_default.medoids,
+        pam_default.labels,
+        pam_default.cost,
+    )
+    labels = pam_default.labels
+    assert average_square_distance(small, labels) == average_square_distance(
+        default, labels
+    )
+
+
 # -- random operation sequences (Hypothesis) ---------------------------------
 
 
@@ -345,7 +453,7 @@ def _apply(op, payload, matrix: DissimilarityMatrix) -> DissimilarityMatrix:
     if op == "set" and n >= 2:
         i = 1 + payload % (n - 1)
         j = payload % i
-        matrix[i, j] = float(payload % 31) / 4.0  # f32-exact values
+        matrix[i, j] = float(payload % 31) / 4.0
     elif op == "insert" and n <= 24:
         positions = sorted({payload % (n + 1), (payload * 7 + 1) % (n + 2)})
         matrix = matrix.insert_objects(positions)
@@ -362,7 +470,7 @@ def _apply(op, payload, matrix: DissimilarityMatrix) -> DissimilarityMatrix:
     return matrix
 
 
-@pytest.mark.parametrize("backend", ["float32", "memmap"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @given(ops=_OPS, seed=st.integers(0, 2**16))
 @settings(max_examples=25, deadline=None)
 def test_random_operation_sequences_track_reference(backend, ops, seed):
@@ -375,12 +483,24 @@ def test_random_operation_sequences_track_reference(backend, ops, seed):
         reference = _apply(op, payload, reference)
         matrix = _apply(op, payload, matrix)
         assert matrix.store_kind == backend
-        if backend == "memmap":
-            np.testing.assert_array_equal(matrix.condensed, reference.condensed)
-        else:
-            np.testing.assert_allclose(
-                matrix.condensed, reference.condensed, rtol=1e-6, atol=1e-6
-            )
+        np.testing.assert_array_equal(matrix.condensed, reference.condensed)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(n=st.integers(1, 30), added=st.integers(1, 6), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_remove_undoes_insert(backend, n, added, seed):
+    """Growing by any position set and removing the same positions
+    restores the matrix bit for bit, with every new pair at zero."""
+    condensed = fill_values(condensed_size(n), seed=seed)
+    matrix = DissimilarityMatrix(n, condensed, store_spec=small_spec(backend))
+    rng = np.random.default_rng(seed)
+    positions = sorted(rng.choice(n + added, size=added, replace=False).tolist())
+    grown = matrix.insert_objects(positions)
+    square = grown.to_square()
+    assert not square[positions].any() and not square[:, positions].any()
+    shrunk = grown.remove_objects(positions)
+    np.testing.assert_array_equal(shrunk.condensed, condensed)
 
 
 # -- memmap white-box units --------------------------------------------------
@@ -436,6 +556,21 @@ class TestMemmapInternals:
         with pytest.raises(ConfigurationError):
             MemmapStore.open(str(tmp_path))
 
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            {"format": 1, "block_entries": 4},  # no size
+            {"format": 1, "size": 8, "block_entries": 0},
+            {"format": 1, "size": "x", "block_entries": 4},
+            [1, 8, 4],  # not an object
+        ],
+        ids=["missing-size", "zero-block-entries", "string-size", "json-list"],
+    )
+    def test_open_rejects_malformed_meta(self, tmp_path, meta):
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError):
+            MemmapStore.open(str(tmp_path))
+
     def test_sparse_zero_store_is_cheap(self, tmp_path):
         store = MemmapStore.create(
             DEFAULT_BLOCK_ENTRIES * 4,
@@ -475,15 +610,23 @@ def test_default_spec_honours_environment(monkeypatch, tmp_path):
 def test_bad_spec_is_rejected():
     with pytest.raises(ConfigurationError):
         StoreSpec(backend="tape")
+    with pytest.raises(ConfigurationError, match="memory.*memmap"):
+        StoreSpec(backend="float32")
     with pytest.raises(ConfigurationError):
         StoreSpec(block_entries=0)
     with pytest.raises(ConfigurationError):
         StoreSpec(cache_bytes=0)
 
 
+def test_environment_rejects_removed_float32_backend(monkeypatch):
+    monkeypatch.setenv(ENV_BACKEND, "float32")
+    with pytest.raises(ConfigurationError, match="memory.*memmap"):
+        default_store_spec()
+
+
 def test_store_types_are_exposed():
     assert isinstance(open_store(StoreSpec(), 3), InMemoryStore)
-    assert isinstance(open_store(StoreSpec(backend="float32"), 3), Float32Store)
+    assert isinstance(open_store(StoreSpec(backend="memmap"), 3), MemmapStore)
 
 
 # -- the RSS regression: a real workload under a hard memory cap -------------

@@ -352,9 +352,8 @@ class TestStorageBackendSweep:
     """The mixed ingest/retire history, re-run per storage backend.
 
     Tiny blocks and a tiny cache force the sharded backends through
-    their eviction/writeback machinery even at test scale; the float64
-    backends must agree bit for bit with the default run, the float32
-    backend within one rounding per stored value.
+    their eviction/writeback machinery even at test scale; both backends
+    must agree bit for bit with the default run.
     """
 
     @staticmethod
@@ -385,7 +384,7 @@ class TestStorageBackendSweep:
         )
         return service, batch
 
-    @pytest.mark.parametrize("backend", ["memory", "float32", "memmap"])
+    @pytest.mark.parametrize("backend", ["memory", "memmap"])
     def test_incremental_matches_rebuild_on_backend(self, backend):
         service, batch = self._mixed_history(self._suite(backend))
         # The configured backend actually reached the third party.
@@ -411,11 +410,6 @@ class TestStorageBackendSweep:
             memmap_service.recluster().to_payload()
             == default_service.recluster().to_payload()
         )
-
-    def test_float32_tracks_default_within_rounding(self):
-        default_service, _ = self._mixed_history(self._suite("memory"))
-        f32_service, _ = self._mixed_history(self._suite("float32"))
-        assert f32_service.matrix().allclose(default_service.matrix(), atol=1e-5)
 
     def test_environment_default_reaches_sessions(self, monkeypatch):
         """With no explicit ``store_backend``, the session-owned matrices

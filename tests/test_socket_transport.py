@@ -11,6 +11,7 @@ era-reset protocol a supervisor restart triggers.
 
 from __future__ import annotations
 
+import asyncio
 import tempfile
 import threading
 
@@ -30,7 +31,7 @@ from repro.exceptions import (
 from repro.network.faults import FaultPlan, FaultRule
 from repro.network.retry import RetryPolicy
 from repro.network.simulator import Network
-from repro.network.tcp import DEAD, UP, SocketTransport, parse_address
+from repro.network.tcp import DEAD, UP, SocketTransport, _DrainingReader, parse_address
 from repro.parties.runner import SessionLinkSecurity
 
 FINGERPRINT = b"\x07" * 32
@@ -294,6 +295,49 @@ def _close_all(transports):
         transport.close()
 
 
+def _restart_beta():
+    """Connect alpha and beta, then restart beta from incarnation 2.
+
+    Returns ``(alpha, beta, positions)`` once alpha has seen the new
+    incarnation (era 3) but before its driver called ``begin_era``;
+    ``positions`` are alpha's cipher positions from before the restart.
+    """
+    tmp = tempfile.mkdtemp()
+    addresses = {n: f"unix:{tmp}/{n}.sock" for n in ("alpha", "beta")}
+
+    def build(name, incarnation=1):
+        return SocketTransport(
+            name,
+            addresses,
+            SessionLinkSecurity(11, name),
+            FINGERPRINT,
+            incarnation=incarnation,
+            heartbeat_interval=0.05,
+            receive_deadline=5.0,
+        )
+
+    alpha, beta = build("alpha"), build("beta")
+    threads = [
+        threading.Thread(target=t.connect_all, args=(20.0,)) for t in (alpha, beta)
+    ]
+    [t.start() for t in threads]
+    [t.join(timeout=25.0) for t in threads]
+    alpha.send("alpha", "beta", "blob", 1, tag="t")
+    assert beta.receive("beta", kind="blob", sender="alpha", tag="t").payload == 1
+    positions = alpha.cipher_positions()
+    beta.close()
+    beta = build("beta", incarnation=2)
+    beta.connect_all(20.0)
+    beta.advance_cipher_positions(positions)
+    ticks = threading.Event()
+    for _ in range(400):
+        if alpha.era == 3:
+            break
+        ticks.wait(0.05)
+    assert alpha.era == 3
+    return alpha, beta, positions
+
+
 class TestSocketTransport:
     def test_round_trip_and_transcript(self):
         mesh = _mesh()
@@ -374,6 +418,45 @@ class TestSocketTransport:
             # the original bytes -- which must open at the same nonce.
             message = beta.receive("beta", kind="blob", sender="alpha", tag="t")
             assert message.payload == {"v": 5}
+        finally:
+            _close_all(mesh)
+
+    def test_draining_reader_hands_out_buffered_bytes_before_the_error(self):
+        async def scenario():
+            reader = _DrainingReader()
+            protocol = asyncio.StreamReaderProtocol(reader)
+            reader.feed_data(b"abcdef")
+            protocol.connection_lost(ConnectionResetError())
+            head = await reader.readexactly(4)
+            with pytest.raises(asyncio.IncompleteReadError) as exc:
+                await reader.readexactly(4)
+            return head, exc.value.partial
+
+        assert asyncio.run(scenario()) == (b"abcd", b"ef")
+
+    def test_frames_read_before_peer_death_are_delivered(self):
+        """A peer that dies right after sending: every frame already read
+        off its connection reaches the inbox, although the first ack hits
+        the broken connection and the connection error is raised before
+        the buffered frames are parsed."""
+        mesh = _mesh(dead_after=60.0, receive_deadline=5.0)
+        alpha, beta = mesh["alpha"], mesh["beta"]
+        try:
+            process = beta._process_data
+
+            async def slow_process(peer, frame, writer):
+                await asyncio.sleep(0.3)  # the sender dies meanwhile
+                await process(peer, frame, writer)
+
+            beta._process_data = slow_process
+            for i in range(3):
+                alpha.send("alpha", "beta", "blob", i, tag="t")
+            alpha.close()
+            payloads = [
+                beta.receive("beta", kind="blob", sender="alpha", tag="t").payload
+                for _ in range(3)
+            ]
+            assert payloads == [0, 1, 2]
         finally:
             _close_all(mesh)
 
@@ -462,6 +545,43 @@ class TestSocketTransport:
             assert beta.receive("beta", kind="blob", sender="alpha", tag="t").payload == 9
             with pytest.raises(ChannelError, match="no session reset"):
                 alpha.begin_era()
+        finally:
+            alpha.close()
+            beta.close()
+
+    def test_new_era_frame_before_begin_era_is_kept(self):
+        """A restarted peer may send its first frame of the new era before
+        the survivor's driver has called begin_era(); that frame must wait
+        for the new era instead of being opened against the void era's
+        link state (and then wiped with the old inbox)."""
+        alpha, beta, positions = _restart_beta()
+        try:
+            # The restarted party starts in the new era at once; the
+            # survivor has seen the new incarnation but not yet restored.
+            beta.send("beta", "alpha", "blob", 7, tag="u")
+            ticks = threading.Event()
+            for _ in range(20):
+                if alpha.pending("alpha"):
+                    break
+                ticks.wait(0.05)
+            alpha.begin_era(positions)
+            message = alpha.receive("alpha", kind="blob", sender="beta", tag="u")
+            assert message.payload == 7
+            alpha.send("alpha", "beta", "blob", 8, tag="t")
+            assert beta.receive("beta", kind="blob", sender="alpha", tag="t").payload == 8
+        finally:
+            alpha.close()
+            beta.close()
+
+    def test_parked_sequence_gap_is_a_desync(self):
+        alpha, beta, positions = _restart_beta()
+        try:
+            # White-box: a parked new-era frame that skips seq 0.
+            alpha._peers["beta"].parked.append(
+                hs.DataFrame(seq=1, era=3, kind="blob", tag="u", body=b"")
+            )
+            with pytest.raises(ChannelError, match="desynchronised"):
+                alpha.begin_era(positions)
         finally:
             alpha.close()
             beta.close()
