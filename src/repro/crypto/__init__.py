@@ -11,7 +11,8 @@ Atallah et al. [8] baseline protocol:
 * :mod:`repro.crypto.keys` -- finite-field Diffie-Hellman pairwise key
   agreement and seed/key derivation,
 * :mod:`repro.crypto.sym` -- symmetric authenticated encryption for secure
-  channels,
+  channels: a SHAKE-256 keystream with an HMAC-SHA256 tag, on the
+  unchanged wire layout ``nonce (16) || ciphertext || tag (32)``,
 * :mod:`repro.crypto.detenc` -- deterministic encryption for categorical
   equality comparison,
 * :mod:`repro.crypto.paillier` -- additively homomorphic Paillier

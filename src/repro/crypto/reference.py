@@ -1,17 +1,19 @@
 """Scalar reference implementation of the channel transport.
 
-The production cipher in :mod:`repro.crypto.sym` generates its
-HMAC-SHA256 counter keystream from cached hash midstates and XORs with
-numpy; this module preserves the original one-``hmac.new``-per-block,
-XOR-per-byte implementation as the executable specification of the wire
-format.  Its contract mirrors :mod:`repro.core.reference` for the
-protocol engine: the fast transport must produce *byte-identical* sealed
-frames to this cipher for every (key, nonce-entropy, plaintext) triple.
+The production cipher in :mod:`repro.crypto.sym` XORs its SHAKE-256
+keystream with numpy and, inside one process, shares one keystream
+between sealing and opening; this module keeps the XOR-per-byte,
+seal-then-reopen implementation as the executable specification of the
+wire format ``nonce (16) || ciphertext || tag (32)``.  The keystream
+itself is the same one-line SHAKE-256 call in both.  Its contract mirrors
+:mod:`repro.core.reference` for the protocol engine: the fast transport
+must produce *byte-identical* sealed frames to this cipher for every
+(key, nonce-entropy, plaintext) triple.
 ``tests/test_transport_equivalence.py`` pins that equivalence and
 ``benchmarks/test_bench_transport.py`` measures the speedup against it.
 
 Do not "optimise" this module: its value is being the slow, obviously
-RFC-shaped version.
+correct version.
 
 :func:`scalar_transport` additionally reverts the whole transport stack
 -- cipher *and* wire-codec fast paths -- to the scalar implementations
@@ -33,17 +35,11 @@ from repro.exceptions import CryptoError, IntegrityError
 _HASH = hashlib.sha256
 _TAG_LEN = 32
 _NONCE_LEN = 16
-_BLOCK = 32
 
 
 def scalar_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """HMAC-SHA256 counter-mode keystream, one ``hmac.new`` per 32 bytes."""
-    blocks = []
-    for counter in range((length + _BLOCK - 1) // _BLOCK):
-        blocks.append(
-            hmac.new(key, nonce + counter.to_bytes(8, "big"), _HASH).digest()
-        )
-    return b"".join(blocks)[:length]
+    """SHAKE-256 keystream: the first ``length`` output bytes of ``key || nonce``."""
+    return hashlib.shake_256(key + nonce).digest(length)
 
 
 def scalar_xor(data: bytes, stream: bytes) -> bytes:
@@ -55,8 +51,9 @@ class ScalarSymmetricCipher:
     """The seed implementation of :class:`repro.crypto.sym.SymmetricCipher`.
 
     Same wire format (``nonce || ciphertext || tag``), same sub-key
-    derivation, same nonce entropy consumption -- only the keystream
-    generation and XOR are the original scalar code paths.
+    derivation, same keystream, same nonce entropy consumption -- only
+    the XOR and the seal-then-reopen round trip are the original scalar
+    code paths.
     """
 
     #: Bytes added to every sealed message (nonce + tag).
@@ -65,11 +62,11 @@ class ScalarSymmetricCipher:
     def __init__(self, key: bytes) -> None:
         if len(key) < 16:
             raise CryptoError("channel key must be at least 128 bits")
-        self._enc_key = derive_key(key, "channel.enc")
-        self._mac_key = derive_key(key, "channel.mac")
+        self._enc_key = derive_key(key, "channel.shake256.enc")
+        self._mac_key = derive_key(key, "channel.shake256.mac")
 
     def seal(self, plaintext: bytes, entropy: ReseedablePRNG) -> bytes:
-        """Encrypt and authenticate ``plaintext`` (scalar keystream)."""
+        """Encrypt and authenticate ``plaintext`` (scalar XOR)."""
         nonce = entropy.next_bits(_NONCE_LEN * 8).to_bytes(_NONCE_LEN, "big")
         ciphertext = scalar_xor(
             plaintext, scalar_keystream(self._enc_key, nonce, len(plaintext))
@@ -78,7 +75,7 @@ class ScalarSymmetricCipher:
         return nonce + ciphertext + tag
 
     def open(self, sealed: bytes) -> bytes:
-        """Verify and decrypt a sealed message (scalar keystream)."""
+        """Verify and decrypt a sealed message (scalar XOR)."""
         if len(sealed) < self.OVERHEAD:
             raise IntegrityError("sealed message shorter than overhead")
         nonce = sealed[:_NONCE_LEN]

@@ -2,8 +2,10 @@
 
 Section 4.1 of the paper proves that the protocol leaks private values to
 an eavesdropper unless the DHJ->DHK and DHK->TP channels are *secured*.
-This module is the mechanism that secures them: a stream cipher built from
-HMAC-SHA256 in counter mode combined with encrypt-then-MAC authentication.
+This module is the mechanism that secures them: a stream cipher whose
+keystream is the SHAKE-256 extendable-output function of the encryption
+sub-key and the message nonce, combined with encrypt-then-MAC
+authentication.
 
 The construction is deliberately primitive-from-scratch (no external
 crypto dependency is available offline) but structurally sound:
@@ -11,26 +13,31 @@ crypto dependency is available offline) but structurally sound:
 * separate sub-keys for encryption and authentication, derived from the
   channel key with labelled HKDF,
 * a fresh random nonce per message, included in the MAC,
-* constant-time tag comparison via :func:`hmac.compare_digest`.
+* an HMAC-SHA256 tag over ``nonce || ciphertext``, compared in constant
+  time via :func:`hmac.compare_digest`.
+
+The wire layout is ``nonce (16) || ciphertext || tag (32)``.  The
+sub-key labels name the keystream, so a frame sealed under the earlier
+HMAC-SHA256 counter-mode keystream (same layout, ``channel.enc`` /
+``channel.mac`` labels) fails authentication here instead of decrypting
+to garbage.
 
 Throughput
 ----------
 Sealing is the transport hot path -- every protocol message on a secure
-channel pays for a full keystream -- so the keystream is generated in
-one batch from cached HMAC midstates (the inner and outer SHA-256 states
-of the padded key, the same midstate trick
-:class:`repro.crypto.prng.HashDRBG` uses for block draws) and the XOR
-runs as a single numpy ``bitwise_xor`` over byte views.  Because the
+channel pays for a full keystream -- so each message's keystream is one
+``hashlib.shake_256(enc_key || nonce).digest(length)`` call and the XOR
+is a single numpy ``bitwise_xor`` over byte views.  Because the
 simulation executes both channel endpoints in one process,
 :meth:`SymmetricCipher.transmit_roundtrip` additionally shares a single
 keystream between sealing and the immediate in-process open, so the
-honest secure-channel model no longer pays for every keystream twice.
+honest secure-channel model does not pay for every keystream twice.
 
 Wire bytes are byte-identical to the scalar implementation preserved in
 :mod:`repro.crypto.reference`; the equivalence suite pins that, and
 ``benchmarks/test_bench_transport.py`` asserts the >= 5x throughput of
 the sealed-transport path (what :class:`repro.network.channel.Channel`
-pays per message) over the seed's seal-then-reopen.
+pays per message) over the reference seal-then-reopen.
 """
 
 from __future__ import annotations
@@ -45,47 +52,8 @@ from repro.crypto.prng import ReseedablePRNG
 from repro.exceptions import CryptoError, IntegrityError
 
 _HASH = hashlib.sha256
-_HASH_BLOCK = 64  # SHA-256 input block size, for HMAC key padding
 _TAG_LEN = 32
 _NONCE_LEN = 16
-_BLOCK = 32
-
-
-class _KeystreamFactory:
-    """Batch HMAC-SHA256 counter keystream bound to one encryption key.
-
-    ``HMAC(K, m) = H((K ^ opad) || H((K ^ ipad) || m))``; both padded-key
-    compressions depend only on ``K``, so they are hashed once here and
-    every counter block costs two midstate copies plus three short
-    updates instead of a full ``hmac.new`` (which re-pads and re-hashes
-    the key twice per call).  Counter bytes for a whole keystream come
-    from one numpy big-endian conversion rather than one ``to_bytes``
-    per block.  Output is bit-for-bit
-    :func:`repro.crypto.reference.scalar_keystream`.
-    """
-
-    def __init__(self, key: bytes) -> None:
-        if len(key) > _HASH_BLOCK:
-            key = _HASH(key).digest()
-        padded = key.ljust(_HASH_BLOCK, b"\x00")
-        self._inner = _HASH(bytes(b ^ 0x36 for b in padded))
-        self._outer = _HASH(bytes(b ^ 0x5C for b in padded))
-
-    def generate(self, nonce: bytes, length: int) -> bytes:
-        """Keystream of ``length`` bytes for one message nonce."""
-        blocks = (length + _BLOCK - 1) // _BLOCK
-        counters = memoryview(np.arange(blocks, dtype=np.uint64).astype(">u8").tobytes())
-        inner_copy, outer_copy = self._inner.copy, self._outer.copy
-        stream = []
-        append = stream.append
-        for off in range(0, 8 * blocks, 8):
-            block = inner_copy()
-            block.update(nonce)
-            block.update(counters[off : off + 8])
-            finish = outer_copy()
-            finish.update(block.digest())
-            append(finish.digest())
-        return b"".join(stream)[:length]
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
@@ -115,10 +83,12 @@ class SymmetricCipher:
     def __init__(self, key: bytes) -> None:
         if len(key) < 16:
             raise CryptoError("channel key must be at least 128 bits")
-        self._enc_key = derive_key(key, "channel.enc")
-        self._mac_key = derive_key(key, "channel.mac")
-        self._keystream = _KeystreamFactory(self._enc_key)
+        self._enc_key = derive_key(key, "channel.shake256.enc")
+        self._mac_key = derive_key(key, "channel.shake256.mac")
         self._mac_base = hmac.new(self._mac_key, b"", _HASH)
+
+    def _keystream(self, nonce: bytes, length: int) -> bytes:
+        return hashlib.shake_256(self._enc_key + nonce).digest(length)
 
     def _tag(self, nonce: bytes, ciphertext: bytes) -> bytes:
         mac = self._mac_base.copy()
@@ -136,7 +106,7 @@ class SymmetricCipher:
         seeded generator so transcripts are reproducible.
         """
         nonce = self._nonce(entropy)
-        ciphertext = _xor(plaintext, self._keystream.generate(nonce, len(plaintext)))
+        ciphertext = _xor(plaintext, self._keystream(nonce, len(plaintext)))
         return nonce + ciphertext + self._tag(nonce, ciphertext)
 
     def open(self, sealed: bytes) -> bytes:
@@ -152,7 +122,7 @@ class SymmetricCipher:
         ciphertext = sealed[_NONCE_LEN:-_TAG_LEN]
         if not hmac.compare_digest(tag, self._tag(nonce, ciphertext)):
             raise IntegrityError("message authentication failed")
-        return _xor(ciphertext, self._keystream.generate(nonce, len(ciphertext)))
+        return _xor(ciphertext, self._keystream(nonce, len(ciphertext)))
 
     def transmit_roundtrip(
         self, plaintext: bytes, entropy: ReseedablePRNG
@@ -171,12 +141,12 @@ class SymmetricCipher:
         :meth:`open`.
         """
         nonce = self._nonce(entropy)
-        ciphertext = _xor(plaintext, self._keystream.generate(nonce, len(plaintext)))
+        ciphertext = _xor(plaintext, self._keystream(nonce, len(plaintext)))
         return nonce + ciphertext + self._tag(nonce, ciphertext), plaintext
 
 
 #: Derived-key cache for the one-shot helpers: HKDF sub-key derivation
-#: plus midstate setup dominates small messages, and callers of the
+#: plus MAC setup dominates small messages, and callers of the
 #: convenience API (attack harnesses, examples) reuse few distinct keys.
 _CIPHER_CACHE: dict[bytes, SymmetricCipher] = {}
 _CIPHER_CACHE_MAX = 64

@@ -5,7 +5,9 @@ what they cannot catch is *transport-layer drift* -- a serialization
 tweak, an extra frame, a changed sealing overhead -- that shifts real
 wire bytes while every analytic count stays put.  This module pins the
 per-link transcript of one fixed sealed session (message kinds, order,
-and exact per-frame wire bytes) as golden data.
+and exact per-frame wire bytes) as golden data, plus a per-link digest
+of the frames' content for that session and for the same session over
+insecure channels, where the wire carries the serialized plaintext.
 
 Everything here is deterministic in ``master_seed``: if an intentional
 transport change moves these numbers, regenerate the constants with the
@@ -15,10 +17,13 @@ point, the diff then shows the cost of the change.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.config import ProtocolSuiteConfig, SessionConfig
 from repro.core.session import ClusteringSession
+from repro.crypto.sym import SymmetricCipher
 from repro.data.alphabet import DNA_ALPHABET
 from repro.data.matrix import AttributeSpec, DataMatrix
 from repro.network.channel import Eavesdropper
@@ -97,6 +102,31 @@ GOLDEN_LINK_BYTES = {
 
 GOLDEN_TOTAL_BYTES = 5334
 
+#: SHA-256 over each link's frames in delivery order (every frame's wire
+#: bytes prefixed by their 4-byte big-endian length), with insecure
+#: channels: the wire is the serialized plaintext, so these digests pin
+#: the paper-level message contents independently of the cipher.
+GOLDEN_PLAINTEXT_DIGESTS = {
+    ("A", "B"): "c12d127d00f58de8ffffdca568ac397f587e6bb8e3f279172af417ccfe89dfd6",
+    ("A", "C"): "b34c1523150a13df05990dd420f8844684544bb3115a7f2cba726a39f7f7b287",
+    ("A", "TP"): "56efc29a9dfd9a790e96ea6922ee4b70d88e92c32fe5311fd9751f53d1a9d805",
+    ("B", "C"): "926aae711787a56e0b9e96f16dde6f5742d25762fd08e3b6e047e80507bf1898",
+    ("B", "TP"): "d7cb51dcdc81e87b546e1bb8cc305cb9708c75857cc89dfe31b9f94a04e60584",
+    ("C", "TP"): "660617fa767b29262d7d80626f01481f6c10529749d0c1af319fb325dc6a69e6",
+}
+
+#: The same digests for the sealed session of :data:`GOLDEN_FRAMES`
+#: (SHAKE-256 keystream cipher): they pin the ciphertext bytes, so a
+#: cipher change must re-pin them.
+GOLDEN_SEALED_DIGESTS = {
+    ("A", "B"): "e0cb0c311b25d2ef7b21daaf5163242b1ac969417effd6178824073525936c0e",
+    ("A", "C"): "4ffa2fb415f6ed4ba8cfa8f4c681bd5747218d12ddcea347b2ef52111705c40f",
+    ("A", "TP"): "b6de134e8a36b16fd8e13564b25de402c7e0d13fd79d3057db625c8d216684f5",
+    ("B", "C"): "45908fab671b03e6ad0da82d50a4e953dae298ce7d8ffd64268fc4409c306161",
+    ("B", "TP"): "f94c3f24deb2c9c9c0144161baf87740bf313c69bcb92961ad67520b0bdf4d87",
+    ("C", "TP"): "65c1c7b1ad89f33c8043c520f66d39414fdd65798124ea4c95bf9faeafff4c61",
+}
+
 
 def _run_tapped_session(suite: ProtocolSuiteConfig | None = None):
     partitions = {
@@ -119,6 +149,17 @@ def _run_tapped_session(suite: ProtocolSuiteConfig | None = None):
     return session, taps
 
 
+def _link_digests(taps) -> dict:
+    digests = {}
+    for link, tap in taps.items():
+        digest = hashlib.sha256()
+        for frame in tap.frames:
+            digest.update(len(frame.wire).to_bytes(4, "big"))
+            digest.update(frame.wire)
+        digests[link] = digest.hexdigest()
+    return digests
+
+
 class TestGoldenTranscript:
     def test_per_link_frames_and_bytes(self):
         session, taps = _run_tapped_session()
@@ -130,6 +171,18 @@ class TestGoldenTranscript:
                 session.network.bytes_on_link(*link) == GOLDEN_LINK_BYTES[link]
             ), f"byte count drifted on {link}"
         assert session.total_bytes() == GOLDEN_TOTAL_BYTES
+
+    def test_sealed_frame_digests(self):
+        _, taps = _run_tapped_session()
+        assert _link_digests(taps) == GOLDEN_SEALED_DIGESTS
+
+    def test_plaintext_frame_digests(self):
+        session, taps = _run_tapped_session(
+            ProtocolSuiteConfig(secure_channels=False)
+        )
+        assert _link_digests(taps) == GOLDEN_PLAINTEXT_DIGESTS
+        overhead = SymmetricCipher.OVERHEAD * sum(len(frames) for frames in GOLDEN_FRAMES.values())
+        assert session.total_bytes() == GOLDEN_TOTAL_BYTES - overhead
 
     def test_transcript_is_reproducible(self):
         """Two runs with one seed emit byte-identical wire frames."""

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.detenc import DeterministicEncryptor
+from repro.crypto.keys import derive_key
 from repro.crypto.prng import make_prng
 from repro.crypto.sym import SymmetricCipher, open_sealed, seal
 from repro.exceptions import CryptoError, IntegrityError
@@ -54,6 +58,23 @@ class TestSymmetricCipher:
         sealed = cipher.seal(b"hello", make_prng(5))
         with pytest.raises(IntegrityError):
             cipher.open(sealed[: SymmetricCipher.OVERHEAD - 1])
+
+    def test_hmac_ctr_frame_rejected(self):
+        """A frame of the earlier HMAC-SHA256 counter-mode cipher (same
+        wire layout, ``channel.enc``/``channel.mac`` sub-keys) does not
+        authenticate, so it cannot decrypt to garbage."""
+        enc_key = derive_key(KEY, "channel.enc")
+        mac_key = derive_key(KEY, "channel.mac")
+        nonce = bytes(range(16))
+        plaintext = b"frame sealed by the previous cipher"
+        keystream = b"".join(
+            hmac.new(enc_key, nonce + counter.to_bytes(8, "big"), hashlib.sha256).digest()
+            for counter in range(2)
+        )
+        ciphertext = bytes(p ^ k for p, k in zip(plaintext, keystream))
+        tag = hmac.new(mac_key, nonce + ciphertext, hashlib.sha256).digest()
+        with pytest.raises(IntegrityError):
+            SymmetricCipher(KEY).open(nonce + ciphertext + tag)
 
     def test_wrong_key_rejected(self):
         sealed = SymmetricCipher(KEY).seal(b"secret", make_prng(6))

@@ -1,8 +1,8 @@
 """Transcript equality: the fast transport vs the seed implementation.
 
-The transport PR rewrote the channel cipher (batched midstate keystream,
-shared seal/open keystream inside ``Channel.transmit``) and gave the
-wire codec batched integer-run paths.  The contract is the same as the
+The fast transport shares one SHAKE-256 keystream between seal and open
+inside ``Channel.transmit``, XORs with numpy, and gives the wire codec
+batched integer-run paths.  The contract is the same as the
 vectorized protocol engine's: *not a single wire byte changes*.  This
 suite pins that against the preserved scalar implementations in
 :mod:`repro.crypto.reference` -- per primitive, and frame-for-frame over
@@ -24,7 +24,7 @@ from repro.crypto.reference import (
     scalar_transport,
     scalar_xor,
 )
-from repro.crypto.sym import SymmetricCipher, _KeystreamFactory, open_sealed, seal
+from repro.crypto.sym import SymmetricCipher, open_sealed, seal
 from repro.data.alphabet import DNA_ALPHABET
 from repro.data.matrix import AttributeSpec, DataMatrix
 from repro.network import serialization
@@ -36,15 +36,20 @@ KEY = b"k" * 32
 
 class TestKeystreamEquivalence:
     @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 100, 4096, 100001])
-    def test_matches_scalar_keystream(self, length):
-        factory = _KeystreamFactory(KEY)
-        nonce = bytes(range(16))
-        assert factory.generate(nonce, length) == scalar_keystream(KEY, nonce, length)
+    def test_seal_and_open_match_reference(self, length):
+        message = bytes(i * 7 % 256 for i in range(length))
+        fast, scalar = SymmetricCipher(KEY), ScalarSymmetricCipher(KEY)
+        sealed = fast.seal(message, make_prng(length))
+        assert sealed == scalar.seal(message, make_prng(length))
+        assert fast.open(sealed) == scalar.open(sealed) == message
 
-    def test_long_key_matches(self):
-        long_key = b"q" * 100  # beyond the SHA-256 block: HMAC hashes it first
-        factory = _KeystreamFactory(long_key)
-        assert factory.generate(b"n" * 16, 96) == scalar_keystream(long_key, b"n" * 16, 96)
+    def test_nonces_give_distinct_keystreams(self):
+        plaintext = bytes(64)  # all zeros: the ciphertext is the keystream
+        cipher = SymmetricCipher(KEY)
+        entropy = make_prng(7)
+        first, second = (cipher.seal(plaintext, entropy) for _ in range(2))
+        assert first[:16] != second[:16]
+        assert first[16:-32] != second[16:-32]
 
     @given(data=st.binary(max_size=512))
     @settings(max_examples=50, deadline=None)
